@@ -1,24 +1,23 @@
 //! SpMM execution-engine benchmark: per-kernel numeric throughput on this
-//! host, with the CELL kernel measured on both the pre-engine path
-//! (`run_legacy`: one scoped spawn/join per bucket, per-row heap
-//! accumulator, atomics everywhere) and the pooled engine path (`run`),
-//! plus a three-way engine comparison per kernel: forced-scalar lanes
-//! (the pre-SIMD loop shapes) vs the SIMD gather microkernels at the
-//! default tile vs SIMD at the cost-model-tuned tile (`plan_tile`).
+//! host, with the CELL kernel at p ∈ {4, 16, 32} timed against
+//! `CsrVectorKernel` on the same operand and engine (the strongest CSR
+//! baseline), plus a three-way engine comparison per kernel:
+//! forced-scalar lanes vs the SIMD gather microkernels at the default
+//! tile vs SIMD at the cost-model-tuned tile (`plan_tile`).
 //!
-//! All three engines are measured **in-process on the same operand**, so
-//! the ratios are free of the cross-run variance this host shows on
+//! All engines are measured **in-process on the same operand**, so the
+//! ratios are free of the cross-run variance this host shows on
 //! absolute times.
 //!
 //! Writes a machine-readable artifact:
 //!
-//! * full mode (default) — the ISSUE's reference configuration
-//!   (4096×4096 `mixed_regions`, 200k nnz, J=64, p ∈ {4, 16, 32}) into
+//! * full mode (default) — the reference configuration (4096×4096
+//!   `mixed_regions`, 200k nnz, J=64, p ∈ {4, 16, 32}) into
 //!   `results/bench_spmm.json` (`LF_RESULTS_DIR` overrides);
 //! * `--quick` — a seconds-scale smoke at reduced sizes into
-//!   `target/bench-spmm/bench_spmm.json`, exiting non-zero if the engine
-//!   path regresses catastrophically vs the legacy path **or** the SIMD
-//!   engine fails its speedup floor over the scalar engine. Wired into
+//!   `target/bench-spmm/bench_spmm.json`, exiting non-zero if CELL is
+//!   catastrophically slower than CSR **or** the SIMD engine fails its
+//!   speedup floor over the scalar engine. Wired into
 //!   `scripts/verify.sh --bench`.
 
 use lf_bench::{fmt, geomean, write_json, Table};
@@ -52,9 +51,10 @@ struct KernelTime {
 #[derive(Serialize)]
 struct CellComparison {
     partitions: usize,
-    legacy_ms: f64,
-    engine_ms: f64,
-    speedup: f64,
+    csr_ms: f64,
+    cell_ms: f64,
+    /// `cell_ms / csr_ms`: below 1 means CELL is faster.
+    cell_over_csr: f64,
 }
 
 #[derive(Serialize)]
@@ -75,10 +75,13 @@ struct Artifact {
     simd_enabled: bool,
     kernels: Vec<KernelTime>,
     cell: Vec<CellComparison>,
-    geomean_speedup: f64,
+    cell_over_csr_geomean: f64,
     simd: Vec<SimdComparison>,
     simd_geomean_speedup: f64,
 }
+
+/// Quick-smoke ceiling on the CELL/CSR time geomean.
+const CELL_OVER_CSR_CEILING: f64 = 2.0;
 
 /// Best-of-`reps` wall time in milliseconds.
 fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -153,7 +156,8 @@ fn main() {
         });
     }
 
-    // --- CELL: legacy engine vs pooled engine, p in {4, 16, 32} -------
+    // --- CELL vs CSR on the same engine, p in {4, 16, 32} ------------
+    let csr_vector = CsrVectorKernel::new(csr.clone());
     let cell_kernels: Vec<(usize, CellKernel<f32>)> = [4usize, 16, 32]
         .into_iter()
         .map(|p| {
@@ -164,35 +168,35 @@ fn main() {
         })
         .collect();
     let mut cell_rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut ct = Table::new(&["cell", "legacy_ms", "engine_ms", "speedup"]);
+    let mut ratios = Vec::new();
+    let mut ct = Table::new(&["cell", "csr_ms", "cell_ms", "cell_over_csr"]);
     for (p, k) in &cell_kernels {
-        let legacy_ms = time_ms(reps, || {
-            k.run_legacy(&b).unwrap();
+        let csr_ms = time_ms(reps, || {
+            csr_vector.run(&b).unwrap();
         });
-        let engine_ms = time_ms(reps, || {
+        let cell_ms = time_ms(reps, || {
             k.run(&b).unwrap();
         });
-        let speedup = legacy_ms / engine_ms;
+        let cell_over_csr = cell_ms / csr_ms;
         ct.row(&[
             format!("p={p}"),
-            fmt(legacy_ms),
-            fmt(engine_ms),
-            fmt(speedup),
+            fmt(csr_ms),
+            fmt(cell_ms),
+            fmt(cell_over_csr),
         ]);
         kernel_times.push(KernelTime {
             name: format!("cell_p{p}"),
-            time_ms: engine_ms,
+            time_ms: cell_ms,
         });
         cell_rows.push(CellComparison {
             partitions: *p,
-            legacy_ms,
-            engine_ms,
-            speedup,
+            csr_ms,
+            cell_ms,
+            cell_over_csr,
         });
-        speedups.push(speedup);
+        ratios.push(cell_over_csr);
     }
-    let gm = geomean(&speedups).unwrap_or(0.0);
+    let gm = geomean(&ratios).unwrap_or(0.0);
 
     // --- Scalar lanes vs SIMD gather vs cost-model-tuned tile ---------
     // One row per distinct numeric path (the four CSR-family kernels
@@ -280,7 +284,7 @@ fn main() {
     println!();
     ct.print();
     println!(
-        "\ncell engine speedup geomean over p in {{4,16,32}}: {}x",
+        "\ncell/csr time geomean over p in {{4,16,32}}: {}x",
         fmt(gm)
     );
     println!();
@@ -302,7 +306,7 @@ fn main() {
         simd_enabled: simd_enabled(),
         kernels: kernel_times,
         cell: cell_rows,
-        geomean_speedup: gm,
+        cell_over_csr_geomean: gm,
         simd: simd_rows,
         simd_geomean_speedup: simd_gm,
     };
@@ -315,8 +319,10 @@ fn main() {
     };
     write_json(&dir, "bench_spmm", &artifact);
 
-    if quick && gm < 0.8 {
-        eprintln!("bench_spmm: FAIL — engine path catastrophically slower than legacy ({gm}x)");
+    if quick && gm > CELL_OVER_CSR_CEILING {
+        eprintln!(
+            "bench_spmm: FAIL — CELL catastrophically slower than CSR ({gm}x, ceiling {CELL_OVER_CSR_CEILING}x)"
+        );
         std::process::exit(1);
     }
     // SIMD smoke floor: the gather microkernels must beat the forced

@@ -11,18 +11,21 @@ use lf_sparse::{CooMatrix, CsrMatrix, Index, Scalar};
 pub struct Bucket<T> {
     /// Bucket width `2^i` (slots per bucket row).
     pub width: usize,
-    /// Original row index of each bucket row (`I^(1)` entries). A folded
-    /// original row appears multiple times.
+    /// Original row index of each bucket row (`I^(1)` entries), in
+    /// ascending order. A folded original row appears multiple times, on
+    /// consecutive bucket rows.
     pub row_ind: Vec<Index>,
-    /// `num_rows × width` column indices, `ELL_PAD` marking padding.
+    /// `num_rows × width` column indices, `ELL_PAD` marking padding (only
+    /// ever a suffix of a bucket row).
     pub col_ind: Vec<Index>,
     /// `num_rows × width` values (zero in padded slots).
     pub values: Vec<T>,
     /// Rows per GPU block: `2^k / width` (the paper's `2^(k-i)`).
     pub rows_per_block: usize,
-    /// Whether this bucket's updates to `C` must use atomics
+    /// Whether this bucket's updates to `C` must use atomics on the GPU
     /// (multi-partition matrix, or the partition's maximum bucket, which
-    /// may contain folded rows — Algorithm 2, line 9).
+    /// may contain folded rows — Algorithm 2, line 9). Read by the
+    /// simulator's cost model; the CPU kernel never needs atomics.
     pub needs_atomic: bool,
     /// Whether any row in this bucket is a folded fragment.
     pub has_folded: bool,
@@ -111,15 +114,18 @@ impl<T: Scalar> CellMatrix<T> {
     /// Assemble a CELL matrix from explicit partitions, bypassing
     /// [`build_cell`](crate::build::build_cell).
     ///
-    /// For tests and advanced composition experiments that need precise
-    /// control over bucket layout (e.g. deliberately mislabeled
-    /// `needs_atomic` flags to exercise the shadow race detector).
+    /// For tests, decoders and composition experiments that need precise
+    /// control over bucket layout.
     ///
     /// The caller is responsible for the format invariants the builder
     /// normally guarantees: in-bounds indices, `nnz` matching the stored
     /// non-padding slots, buckets sorted by increasing width within each
-    /// partition, and truthful `needs_atomic` / `has_folded` flags —
-    /// kernels trust these flags to pick plain-store fast paths.
+    /// partition, `row_ind` ascending within each bucket (a folded row's
+    /// fragments consecutive and column-ascending), padding only as a
+    /// suffix of each bucket row, and truthful `needs_atomic` /
+    /// `has_folded` flags (the simulator costs atomics from them). The
+    /// CELL kernel's CPU path relies on the layout invariants: it ends a
+    /// fragment at its first pad and finds rows by binary search.
     pub fn from_parts(
         rows: usize,
         cols: usize,

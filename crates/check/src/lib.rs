@@ -3,10 +3,10 @@
 //! # lf-check
 //!
 //! The repo's verification toolkit. The engine's correctness rests on
-//! hand-argued invariants — Algorithm 2's per-bucket `needs_atomic`
-//! decision is what lets kernels use plain stores, and the
-//! pool/`DisjointSlice`/`SendPtr` machinery in `lf-sim` is what makes
-//! that safe under the worker pool. This crate machine-checks those
+//! hand-argued invariants — single-writer output rows (CELL's
+//! owner-computes row blocks among them) are what let kernels use plain
+//! stores, and the pool/`DisjointSlice`/`SendPtr` machinery in `lf-sim`
+//! is what makes that safe under the worker pool. This crate machine-checks those
 //! invariants in three layers:
 //!
 //! 1. **A deterministic concurrency model checker** ([`sched`], in the
@@ -22,7 +22,7 @@
 //! 2. **A shadow-memory race detector** ([`shadow`]): debug builds
 //!    register every claimed output range of the kernels' single-writer
 //!    fast paths (`DisjointSlice::slice_mut`, `SendPtr` vec-fills, CELL
-//!    plain-store buckets) in a [`ShadowRegion`] interval map and panic
+//!    row blocks) in a [`ShadowRegion`] interval map and panic
 //!    on overlap or out-of-bounds — so every ordinary test run doubles
 //!    as a race check. Release builds compile it to a no-op ZST.
 //!

@@ -1,19 +1,19 @@
 //! Shadow-memory race detection for disjoint-write fast paths.
 //!
 //! The kernels' single-writer outputs (CSR/ELL/SELL/BCSR rows, STile row
-//! subsets, CELL plain-store buckets, `parallel_map` slot fills) skip
-//! atomics because *by construction* no two workers write the same
-//! element. [`ShadowRegion`] turns that argument into a runtime check:
-//! each worker registers the element range it is about to write in a
-//! shared interval map, and the claim panics if it overlaps a live
-//! exclusive claim or falls outside the region — catching both a
-//! mislabeled `needs_atomic` bucket and an indexing bug the moment it
-//! happens, instead of as a silent wrong result.
+//! subsets, CELL row blocks, `parallel_map` slot fills) skip atomics
+//! because *by construction* no two workers write the same element.
+//! [`ShadowRegion`] turns that argument into a runtime check: each worker
+//! registers the element range it is about to write in a shared interval
+//! map, and the claim panics if it overlaps a live exclusive claim or
+//! falls outside the region — catching both an overlapping schedule (say,
+//! two CELL row blocks that share a row) and an indexing bug the moment
+//! it happens, instead of as a silent wrong result.
 //!
 //! Claims come in two flavors: [`claim_exclusive`] for single-writer
 //! ranges (any overlap is an error, including with another claim from
-//! the *same* worker — a plain-store bucket that writes a row twice
-//! clobbers its own first write), and [`claim_shared`] for ranges
+//! the *same* worker — a plain store that writes a row twice clobbers
+//! its own first write), and [`claim_shared`] for ranges
 //! updated through atomics (overlap with other shared claims is fine;
 //! overlap with an exclusive claim means the "single writer" had a
 //! concurrent atomic writer after all).

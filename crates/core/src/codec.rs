@@ -28,11 +28,11 @@
 //! ## Guarantees
 //!
 //! * **Round-trip exactness.** `decode(encode(plan))` rebuilds a plan
-//!   whose kernel output is bitwise identical to the original's on
-//!   single-writer paths: the bucket arrays, value bits, tuned width,
-//!   and execution tile are reproduced verbatim, and none of those
-//!   change a column's reduction order (`crates/core/tests/plan_codec.rs`
-//!   proves this across the fuzzer's structure classes).
+//!   whose kernel output is bitwise identical to the original's: the
+//!   bucket arrays, value bits, tuned width, and execution tile are
+//!   reproduced verbatim, and none of those change a column's reduction
+//!   order (`crates/core/tests/plan_codec.rs` proves this across the
+//!   fuzzer's structure classes).
 //! * **No panics, no lies.** [`decode_plan`] on arbitrary bytes returns
 //!   `Err`, never panics, and never returns `Ok` for bytes that are not
 //!   a faithful encoding (the corruption suite fuzzes this with seeded
@@ -627,6 +627,18 @@ fn decode_cell<T: AtomicScalar>(
             for &ri in &row_ind {
                 if ri as usize >= rows {
                     return Err(CodecError::BadField("row index out of bounds"));
+                }
+            }
+            // Layout is a kernel invariant too: `CellKernel` finds a
+            // row block's fragments by binary search in `row_ind` and
+            // ends each fragment at its first pad.
+            if row_ind.windows(2).any(|w| w[0] > w[1]) {
+                return Err(CodecError::BadField("row_ind not ascending"));
+            }
+            for frag in col_ind.chunks(width) {
+                let pad_from = frag.iter().position(|&c| c == ELL_PAD);
+                if pad_from.is_some_and(|k| frag[k..].iter().any(|&c| c != ELL_PAD)) {
+                    return Err(CodecError::BadField("padding not a suffix"));
                 }
             }
             for &ci in &col_ind {

@@ -286,10 +286,9 @@ impl<T: AtomicScalar> PreparedPlan<T> {
     ///
     /// Each output column sees exactly the accumulation it would see in
     /// a solo [`PreparedPlan::run`]: fusing changes which columns ride
-    /// along in the same pass, never a column's own reduction, so on
-    /// single-writer (non-atomic) paths the scattered outputs are
-    /// bitwise identical to solo runs. Atomic multi-partition paths stay
-    /// as order-nondeterministic as their solo runs already are.
+    /// along in the same pass, never a column's own reduction, so the
+    /// scattered outputs are bitwise identical to solo runs (both CELL
+    /// and the fixed-CSR kernel have one writer per output row).
     ///
     /// Note the plan's bucket widths are only optimal near
     /// [`PreparedPlan::tuned_j`]; callers fusing at a much larger total

@@ -12,7 +12,8 @@
 //!    thousands of seeded random mutations must all produce a typed
 //!    [`CodecError`] — never a panic, never an `Ok` on tampered bytes.
 
-use lf_cell::{build_cell, CellConfig};
+use lf_cell::{build_cell, Bucket, CellConfig, CellMatrix, Partition};
+use lf_sparse::ell::ELL_PAD;
 use lf_sparse::gen::{fuzz_case, FUZZ_CLASSES};
 use lf_sparse::{DenseMatrix, Pcg32};
 use liteform_core::codec::CodecError;
@@ -281,4 +282,55 @@ fn two_thousand_seeded_mutations_never_panic_never_decode() {
         rejected += 1;
     }
     assert!(rejected >= 1990, "only {rejected} mutations exercised");
+}
+
+#[test]
+fn cell_layouts_the_kernel_cannot_walk_are_refused() {
+    // `CellKernel` ends a fragment at its first pad and finds a row
+    // block's fragments by binary search in `row_ind`, so a record with
+    // interior padding or unsorted `row_ind` is refused even under a
+    // valid checksum. The well-formed layout next to them decodes.
+    let record = |row_ind: Vec<u32>, col_ind: Vec<u32>| {
+        let nnz = col_ind.iter().filter(|&&c| c != ELL_PAD).count();
+        let bucket = Bucket {
+            width: 2,
+            row_ind,
+            values: col_ind
+                .iter()
+                .map(|&c| if c == ELL_PAD { 0.0 } else { 1.0 })
+                .collect(),
+            col_ind,
+            rows_per_block: 1,
+            needs_atomic: false,
+            has_folded: false,
+        };
+        let partition = Partition {
+            col_range: (0, 4),
+            buckets: vec![bucket],
+        };
+        let config = CellConfig::default();
+        let cell = CellMatrix::from_parts(2, 4, nnz, vec![partition], config.clone());
+        encode_plan(&PreparedPlan::from_cell(
+            config,
+            cell,
+            PreprocessProfile::default(),
+        ))
+        .unwrap()
+    };
+    assert!(decode_plan::<f64>(&record(vec![0, 1], vec![3, ELL_PAD, 0, 1])).is_ok());
+    for (what, bytes) in [
+        (
+            "interior padding",
+            record(vec![0, 1], vec![ELL_PAD, 3, 0, 1]),
+        ),
+        (
+            "descending row_ind",
+            record(vec![1, 0], vec![3, ELL_PAD, 0, 1]),
+        ),
+    ] {
+        assert!(
+            matches!(decode_plan::<f64>(&bytes), Err(CodecError::BadField(_))),
+            "{what} must be refused"
+        );
+    }
 }

@@ -1,7 +1,8 @@
 //! The CELL SpMM kernel — Algorithm 2 of the paper.
 //!
 //! Every bucket is a regular Ellpack grid whose rows all fit the bucket
-//! width, and every `2^k` non-zero slots form one GPU block. The kernel:
+//! width, and every `2^k` non-zero slots form one GPU block. The GPU
+//! mapping, which [`SpmmKernel::launches`] costs for the simulator:
 //!
 //! * streams `row_ind`, `col_ind`, `val` coalesced (the grids are
 //!   row-major and fully regular);
@@ -13,27 +14,31 @@
 //! * launches all buckets of all partitions as **one fused launch**,
 //!   mirroring the horizontal-fusion pass SparseTIR inserts (§6).
 //!
-//! The numeric path runs on the shared execution engine: all
-//! `(partition, bucket, row-chunk)` work items are flattened into **one**
-//! parallel region over the persistent worker pool (no per-bucket
-//! spawn/join barriers), each worker reuses one accumulator scratch for
-//! every row it processes (j-tiled to stay cache-resident), and buckets
-//! with single-writer rows (`needs_atomic == false`) flush with plain
-//! stores instead of CAS loops.
+//! The CPU numeric path does not copy that mapping. It is
+//! **owner-computes**: construction splits the output rows into blocks
+//! of about `TileParams::chunk_slots` stored slots and records each
+//! block's `row_ind` range in every `(partition, bucket)`. One parallel
+//! region runs the blocks; each walks its ranges in `(partition, bucket,
+//! row)` order and accumulates straight into its own `C` rows. Every
+//! `C` row has exactly one writer, so there are no atomics, no scratch
+//! row and no flush pass, and `needs_atomic` is never read here.
+//!
+//! A row's fragments in one partition are contiguous, column-ascending
+//! slices of its CSR row, and partitions are ascending column spans, so
+//! each `C` element is summed in CSR's ascending-k order: the output is
+//! bitwise equal to `CsrMatrix::spmm_reference` at any worker count,
+//! tile or lane shape.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, Lanes, TileParams};
+use crate::simd::{Gather, TileParams};
 use crate::SpmmKernel;
 use lf_cell::{Bucket, CellMatrix};
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
-use lf_sim::parallel::{
-    default_workers, parallel_for_init, parallel_for_scoped, parallel_map_init,
-};
-use lf_sim::shadow::ShadowRegion;
+use lf_sim::parallel::{default_workers, parallel_for, parallel_map_init, DisjointSlice};
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
 use lf_sparse::ell::ELL_PAD;
-use lf_sparse::{DenseMatrix, Result, SparseError};
+use lf_sparse::{DenseMatrix, Result, Scalar, SparseError};
 
 /// How bucket kernels are combined into launches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +51,74 @@ pub enum FusionMode {
     PerPartition,
 }
 
-/// One flattened numeric work item: a row range of one bucket.
-struct WorkItem<'m, T> {
-    bucket: &'m Bucket<T>,
-    lo: usize,
-    hi: usize,
+/// The owner-computes schedule: blocks of output rows, each with its
+/// `row_ind` range in every bucket. Built once per kernel, so `run`
+/// allocates nothing but `C`.
+struct RowBlocks {
+    /// Output rows `[first, end)` owned by each block.
+    spans: Vec<(usize, usize)>,
+    /// Bucket rows `[lo, hi)` of block `b` in flat bucket `q` (buckets
+    /// in `(partition, width)` order) at `ranges[b * buckets + q]`.
+    ranges: Vec<(usize, usize)>,
+    /// Total bucket count across partitions.
+    buckets: usize,
+}
+
+impl RowBlocks {
+    /// Cut the rows into `ceil(stored slots / chunk_slots)` blocks of
+    /// near-equal stored slots. Relies on `row_ind` being ascending
+    /// within every bucket, which `build_cell`, `update_cell` and the
+    /// plan codec guarantee.
+    fn new<T: Scalar>(cell: &CellMatrix<T>, chunk_slots: usize) -> Self {
+        let rows = cell.rows();
+        let buckets = || cell.partitions().iter().flat_map(|p| &p.buckets);
+        // Slot load per group of `1 << shift` rows: at most
+        // `MAX_GROUPS` groups keep this transient histogram small on
+        // tall matrices; blocks are cut at group boundaries.
+        const MAX_GROUPS: usize = 4096;
+        let shift = rows
+            .div_ceil(MAX_GROUPS)
+            .next_power_of_two()
+            .trailing_zeros();
+        let mut load = vec![0usize; rows.div_ceil(1 << shift)];
+        for bucket in buckets() {
+            for &r in &bucket.row_ind {
+                load[r as usize >> shift] += bucket.width;
+            }
+        }
+        let total: usize = load.iter().sum();
+        let blocks = total.div_ceil(chunk_slots.max(1));
+        let mut bounds = Vec::with_capacity(blocks + 1);
+        if blocks > 0 {
+            bounds.push(0);
+            let mut acc = 0usize;
+            for (g, &l) in load.iter().enumerate() {
+                acc += l;
+                // Cut once the running load reaches the next block's
+                // share of the total.
+                if bounds.len() < blocks && acc * blocks >= total * bounds.len() {
+                    bounds.push(((g + 1) << shift).min(rows));
+                }
+            }
+            if bounds.last() != Some(&rows) {
+                bounds.push(rows);
+            }
+        }
+        let spans: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut ranges = Vec::with_capacity(spans.len() * cell.num_buckets());
+        for &(first, end) in &spans {
+            for bucket in buckets() {
+                let lo = bucket.row_ind.partition_point(|&r| (r as usize) < first);
+                let hi = bucket.row_ind.partition_point(|&r| (r as usize) < end);
+                ranges.push((lo, hi));
+            }
+        }
+        RowBlocks {
+            spans,
+            ranges,
+            buckets: cell.num_buckets(),
+        }
+    }
 }
 
 /// One flattened analytic work item: a GPU block of one bucket.
@@ -78,30 +146,33 @@ pub struct CellKernel<T> {
     cell: CellMatrix<T>,
     fusion: FusionMode,
     tile: TileParams,
+    blocks: RowBlocks,
 }
 
 impl<T: AtomicScalar> CellKernel<T> {
     /// Wrap a CELL operand (fully fused launches, default tile).
     pub fn new(cell: CellMatrix<T>) -> Self {
-        CellKernel {
-            cell,
-            fusion: FusionMode::Full,
-            tile: TileParams::default(),
-        }
+        Self::with_fusion(cell, FusionMode::Full)
     }
 
     /// Wrap with an explicit fusion mode.
     pub fn with_fusion(cell: CellMatrix<T>, fusion: FusionMode) -> Self {
+        let tile = TileParams::default();
         CellKernel {
+            blocks: RowBlocks::new(&cell, tile.chunk_slots),
             cell,
             fusion,
-            tile: TileParams::default(),
+            tile,
         }
     }
 
     /// Set the execution tile this kernel runs with by default (builder
     /// style; the `lf-cost` tile search picks it per matrix family + J).
+    /// Re-cuts the row blocks when `chunk_slots` changes.
     pub fn with_tile(mut self, tile: TileParams) -> Self {
+        if tile.chunk_slots != self.tile.chunk_slots {
+            self.blocks = RowBlocks::new(&self.cell, tile.chunk_slots);
+        }
         self.tile = tile;
         self
     }
@@ -128,257 +199,67 @@ impl<T: AtomicScalar> CellKernel<T> {
         Ok(())
     }
 
-    /// Flatten all `(partition, bucket)` pairs into row-chunk work items
-    /// — the CPU mirror of the paper's §6 horizontal fusion: one launch,
-    /// one parallel region, no barrier between buckets.
-    fn numeric_work_items(&self, chunk_slots: usize) -> Vec<WorkItem<'_, T>> {
-        let mut items = Vec::new();
-        for part in self.cell.partitions() {
-            for bucket in &part.buckets {
-                let rows = bucket.num_rows();
-                if rows == 0 {
-                    continue;
-                }
-                let rows_per_item = (chunk_slots.max(1) / bucket.width.max(1)).max(1);
-                let mut lo = 0;
-                while lo < rows {
-                    let hi = (lo + rows_per_item).min(rows);
-                    items.push(WorkItem { bucket, lo, hi });
-                    lo = hi;
-                }
-            }
-        }
-        items
-    }
-
-    /// Shared numeric path. `force_atomic` routes every flush through
-    /// `atomic_add` regardless of `needs_atomic` — the verification knob
-    /// the equivalence property tests exercise. `tile` selects the
-    /// accumulator width, k-block depth and lane shape; every setting
-    /// produces bitwise identical results on single-writer paths
-    /// (per-element accumulation order is ascending `k` throughout).
-    fn execute(
-        &self,
-        b: &DenseMatrix<T>,
-        force_atomic: bool,
-        tile: TileParams,
-    ) -> Result<DenseMatrix<T>> {
+    /// The numeric path: one parallel region over the row blocks. A
+    /// block carves its `C` rows once and accumulates every fragment
+    /// that targets them, partition by partition; a fragment ends at its
+    /// first `ELL_PAD` (padding is always a suffix). Gathered pairs are
+    /// flushed when the target row changes, so consecutive folded
+    /// fragments of one row share k-blocks.
+    fn execute(&self, b: &DenseMatrix<T>, tile: TileParams) -> Result<DenseMatrix<T>> {
         self.check_shape(b)?;
-        let (rows, _) = self.cell.shape();
         let j = b.cols();
-        let mut c = DenseMatrix::zeros(rows, j);
+        let mut c = DenseMatrix::zeros(self.cell.rows(), j);
         if j == 0 {
             return Ok(c);
         }
-        let items = self.numeric_work_items(tile.chunk_slots);
-        if items.is_empty() {
-            return Ok(c);
-        }
+        let blocks = &self.blocks;
         let lanes = tile.lanes.resolve::<T>();
         let k_block = tile.k_block_clamped();
-        // Debug builds check the bucket labeling through the shadow race
-        // detector: rows of `needs_atomic == false` buckets must be
-        // claimed exactly once (exclusive), rows flushed through atomics
-        // register shared claims. A mislabeled bucket — a plain-store
-        // row that another bucket also writes — panics at the claim.
-        let shadow = ShadowRegion::new(rows * j);
-        let workers = default_workers().min(items.len());
-        if workers == 1 && !force_atomic {
-            // Single-worker region: there is no concurrency, so even
-            // multi-writer (needs_atomic) buckets can accumulate straight
-            // into `C` — no CAS loops, no scratch, no flush pass. The
-            // claim discipline still applies: the single-writer invariant
-            // is about *ownership* (a plain-store row with two writers is
-            // a correctness bug even sequentially, since the parallel
-            // path would overwrite rather than accumulate it).
-            let out = c.as_mut_slice();
-            if lanes == Lanes::Scalar {
-                // The pre-SIMD engine, loop shape unchanged: fragment-
-                // major over the flattened work items.
-                for &WorkItem { bucket, lo, hi } in &items {
-                    let w = bucket.width;
-                    for bi in lo..hi {
-                        let base = bucket.row_ind[bi] as usize * j;
-                        if bucket.needs_atomic {
-                            shadow.claim_shared(base, j);
-                        } else {
-                            shadow.claim_exclusive(base, j);
-                        }
-                        let crow = &mut out[base..base + j];
-                        let cols = &bucket.col_ind[bi * w..(bi + 1) * w];
-                        let vals = &bucket.values[bi * w..(bi + 1) * w];
-                        for (&col, &a) in cols.iter().zip(vals) {
-                            if col == ELL_PAD {
-                                continue;
-                            }
-                            let brow = b.row(col as usize);
-                            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                                *cv += a * bv;
-                            }
-                        }
-                    }
-                }
-                return Ok(c);
-            }
-            // SIMD direct path: the same fragment-major walk as the
-            // scalar engine (bucket `row_ind` is ascending, so `C` rows
-            // stream sequentially within a bucket and `B` stays
-            // partition-local), but each fragment's non-pad (coeff,
-            // B-row) pairs are gathered first and applied as one
-            // register-blocked strip sweep — PAD filtering and the
-            // per-nonzero accumulator reloads leave the inner loop.
-            // Per-element accumulation order stays ascending-k, so the
-            // bits match the scalar path exactly.
+        let out = DisjointSlice::new(c.as_mut_slice());
+        parallel_for(blocks.spans.len(), default_workers(), |bi| {
+            let (first, end) = blocks.spans[bi];
+            // SAFETY: block spans are disjoint and `parallel_for` visits
+            // each block once, so no two carves overlap (debug builds
+            // check this through the shadow map).
+            let owned = unsafe { out.slice_mut(first * j, (end - first) * j) };
+            let ranges = &blocks.ranges[bi * blocks.buckets..(bi + 1) * blocks.buckets];
+            let buckets = self.cell.partitions().iter().flat_map(|p| &p.buckets);
             let mut gather: Gather<'_, T> = Gather::new();
-            for &WorkItem { bucket, lo, hi } in &items {
+            for (bucket, &(lo, hi)) in buckets.zip(ranges) {
                 let w = bucket.width;
-                for bi in lo..hi {
-                    let base = bucket.row_ind[bi] as usize * j;
-                    if bucket.needs_atomic {
-                        shadow.claim_shared(base, j);
-                    } else {
-                        shadow.claim_exclusive(base, j);
+                let mut row = 0;
+                for f in lo..hi {
+                    let r = bucket.row_ind[f] as usize - first;
+                    if r != row {
+                        gather.flush_into(lanes, &mut owned[row * j..(row + 1) * j], 0);
+                        row = r;
                     }
-                    let crow = &mut out[base..base + j];
-                    let cols = &bucket.col_ind[bi * w..(bi + 1) * w];
-                    let vals = &bucket.values[bi * w..(bi + 1) * w];
+                    let cols = &bucket.col_ind[f * w..(f + 1) * w];
+                    let vals = &bucket.values[f * w..(f + 1) * w];
                     for (&col, &a) in cols.iter().zip(vals) {
                         if col == ELL_PAD {
-                            continue;
+                            break;
                         }
                         gather.push(a, b.row(col as usize));
                         if gather.full(k_block) {
-                            gather.flush_into(lanes, crow, 0);
+                            gather.flush_into(lanes, &mut owned[row * j..(row + 1) * j], 0);
                         }
                     }
-                    gather.flush_into(lanes, crow, 0);
                 }
+                gather.flush_into(lanes, &mut owned[row * j..(row + 1) * j], 0);
             }
-            return Ok(c);
-        }
-        {
-            let j_tile = tile.j_tile.max(1);
-            let cells = T::as_cells(c.as_mut_slice());
-            parallel_for_init(
-                items.len(),
-                workers,
-                || vec![T::ZERO; j_tile.min(j)],
-                |acc_buf, wi| {
-                    let WorkItem { bucket, lo, hi } = items[wi];
-                    let w = bucket.width;
-                    let atomic = force_atomic || bucket.needs_atomic;
-                    let mut gather: Gather<'_, T> = Gather::new();
-                    let mut tile_lo = 0;
-                    while tile_lo < j {
-                        let tile_hi = (tile_lo + j_tile).min(j);
-                        let acc = &mut acc_buf[..tile_hi - tile_lo];
-                        for bi in lo..hi {
-                            acc.fill(T::ZERO);
-                            if lanes == Lanes::Scalar {
-                                // The pre-SIMD engine, loop shape
-                                // unchanged.
-                                for k in 0..w {
-                                    let col = bucket.col_ind[bi * w + k];
-                                    if col == ELL_PAD {
-                                        continue;
-                                    }
-                                    let a = bucket.values[bi * w + k];
-                                    let brow = &b.row(col as usize)[tile_lo..tile_hi];
-                                    for (s, &bv) in brow.iter().enumerate() {
-                                        acc[s] += a * bv;
-                                    }
-                                }
-                            } else {
-                                for k in 0..w {
-                                    let col = bucket.col_ind[bi * w + k];
-                                    if col == ELL_PAD {
-                                        continue;
-                                    }
-                                    gather.push(bucket.values[bi * w + k], b.row(col as usize));
-                                    if gather.full(k_block) {
-                                        gather.flush_into(lanes, acc, tile_lo);
-                                    }
-                                }
-                                gather.flush_into(lanes, acc, tile_lo);
-                            }
-                            let out = bucket.row_ind[bi] as usize * j + tile_lo;
-                            if atomic {
-                                // Folded fragments / sibling partitions may
-                                // write the same row (Algorithm 2 line 9).
-                                shadow.claim_shared(out, tile_hi - tile_lo);
-                                for (s, &v) in acc.iter().enumerate() {
-                                    T::atomic_add(&cells[out + s], v);
-                                }
-                            } else {
-                                // Single-writer row by construction: a
-                                // plain store, no CAS — and the claim
-                                // proves no other bucket writes it.
-                                shadow.claim_exclusive(out, tile_hi - tile_lo);
-                                for (s, &v) in acc.iter().enumerate() {
-                                    T::store_cell(&cells[out + s], v);
-                                }
-                            }
-                        }
-                        tile_lo = tile_hi;
-                    }
-                },
-            );
-        }
+        });
         Ok(c)
     }
 
-    /// Numeric path with every flush forced through atomics, bypassing
-    /// the single-writer fast path. Exists so tests can prove the two
-    /// flush modes produce identical results; `run` is always at least
-    /// as fast.
-    pub fn run_forced_atomic(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.execute(b, true, self.tile)
-    }
-
-    /// Numeric path with an explicit execution tile (serving threads the
-    /// memoized per-(matrix-family, J) winner through here; `run` uses
-    /// the kernel's own default tile).
+    /// Numeric path with an explicit execution tile (fused serving runs
+    /// thread the memoized per-(matrix-family, J) winner through here;
+    /// `run` uses the kernel's own tile). Lanes and k-block come from
+    /// `tile`; the row blocks stay the ones cut at construction, so
+    /// `tile.chunk_slots` takes effect only through
+    /// [`CellKernel::with_tile`].
     pub fn run_tiled(&self, b: &DenseMatrix<T>, tile: TileParams) -> Result<DenseMatrix<T>> {
-        self.execute(b, false, tile)
-    }
-
-    /// The pre-engine numeric path: one scoped spawn/join parallel region
-    /// **per bucket**, a fresh `vec![T::ZERO; j]` accumulator per row,
-    /// and atomic accumulation for every output element. Kept as the
-    /// baseline the execution-engine benchmarks and equivalence tests
-    /// compare against (`results/bench_spmm.json`).
-    pub fn run_legacy(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.check_shape(b)?;
-        let (rows, _) = self.cell.shape();
-        let j = b.cols();
-        let mut c = DenseMatrix::zeros(rows, j);
-        {
-            let cells = T::as_cells(c.as_mut_slice());
-            for part in self.cell.partitions() {
-                for bucket in &part.buckets {
-                    let w = bucket.width;
-                    parallel_for_scoped(bucket.num_rows(), default_workers(), |bi| {
-                        let out_row = bucket.row_ind[bi] as usize;
-                        let mut acc = vec![T::ZERO; j];
-                        for k in 0..w {
-                            let col = bucket.col_ind[bi * w + k];
-                            if col == ELL_PAD {
-                                continue;
-                            }
-                            let a = bucket.values[bi * w + k];
-                            let brow = b.row(col as usize);
-                            for (jj, &bv) in brow.iter().enumerate() {
-                                acc[jj] += a * bv;
-                            }
-                        }
-                        for (jj, &v) in acc.iter().enumerate() {
-                            T::atomic_add(&cells[out_row * j + jj], v);
-                        }
-                    });
-                }
-            }
-        }
-        Ok(c)
+        self.execute(b, tile)
     }
 
     /// Flatten all `(partition, bucket, GPU-block)` triples for the
@@ -419,7 +300,7 @@ impl<T: AtomicScalar> SpmmKernel<T> for CellKernel<T> {
     }
 
     fn run(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.execute(b, false, self.tile)
+        self.execute(b, self.tile)
     }
 
     fn launches(&self, j: usize, device: &DeviceModel) -> Vec<LaunchSpec> {
@@ -504,9 +385,17 @@ impl<T: AtomicScalar> SpmmKernel<T> for CellKernel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Lanes;
     use lf_cell::{build_cell, CellConfig};
     use lf_sparse::gen::{mixed_regions, uniform_random, uniform_with_long_rows};
     use lf_sparse::{CsrMatrix, Pcg32};
+
+    /// Bitwise equality, printed as bits on failure.
+    fn assert_bitwise(got: &DenseMatrix<f64>, want: &DenseMatrix<f64>, what: &str) {
+        let g: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+        let w: Vec<u64> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(g, w, "{what}");
+    }
 
     fn check(csr: &CsrMatrix<f64>, cfg: &CellConfig) {
         let cell = build_cell(csr, cfg).unwrap();
@@ -516,10 +405,7 @@ mod tests {
             let b = DenseMatrix::random(csr.cols(), j, &mut rng);
             let got = k.run(&b).unwrap();
             let want = csr.spmm_reference(&b).unwrap();
-            assert!(got.approx_eq(&want, 1e-9), "cfg={cfg:?} J={j}");
-            // The pre-engine path stays equivalent.
-            let legacy = k.run_legacy(&b).unwrap();
-            assert!(legacy.approx_eq(&want, 1e-9), "legacy cfg={cfg:?} J={j}");
+            assert_bitwise(&got, &want, &format!("cfg={cfg:?} J={j}"));
         }
     }
 
@@ -550,7 +436,7 @@ mod tests {
 
     #[test]
     fn numeric_correct_beyond_one_j_tile() {
-        // J > j_tile exercises the accumulator tiling loop.
+        // J > j_tile: the tile's accumulator width never changes a sum.
         let mut rng = Pcg32::seed_from_u64(21);
         let csr = CsrMatrix::from_coo(&uniform_random::<f64>(80, 90, 1200, &mut rng));
         let k = CellKernel::new(build_cell(&csr, &CellConfig::with_partitions(2)).unwrap());
@@ -558,15 +444,14 @@ mod tests {
         let b = DenseMatrix::random(csr.cols(), j, &mut rng);
         let got = k.run(&b).unwrap();
         let want = csr.spmm_reference(&b).unwrap();
-        assert!(got.approx_eq(&want, 1e-9));
+        assert_bitwise(&got, &want, "J > j_tile");
     }
 
     #[test]
     fn every_tile_shape_is_bitwise_identical() {
         // Any (j_tile, k_block, lanes, chunk) combination must produce
-        // the same bits as the default tile: per output element the
-        // accumulation order over k never changes, and no shape fuses
-        // multiply-adds.
+        // the reference's bits: per output element the accumulation
+        // order over k is CSR's, and no shape fuses multiply-adds.
         let tiles = [
             TileParams {
                 lanes: Lanes::Scalar,
@@ -592,21 +477,20 @@ mod tests {
             },
         ];
         let mut rng = Pcg32::seed_from_u64(23);
-        // Single partition, no folding: every bucket single-writer, so
-        // results are bitwise stable regardless of worker count.
+        // Single partition, no folding.
         let csr = CsrMatrix::from_coo(&uniform_random::<f64>(150, 160, 2400, &mut rng));
         let k = CellKernel::new(build_cell(&csr, &CellConfig::default()).unwrap());
         for j in [5, 64, 133] {
             let b = DenseMatrix::random(csr.cols(), j, &mut rng);
-            let want = k.run(&b).unwrap();
-            assert!(want.approx_eq(&csr.spmm_reference(&b).unwrap(), 1e-9));
+            let want = csr.spmm_reference(&b).unwrap();
+            assert_bitwise(&k.run(&b).unwrap(), &want, &format!("J={j}"));
             for tile in tiles {
                 let got = k.run_tiled(&b, tile).unwrap();
-                assert_eq!(got.as_slice(), want.as_slice(), "J={j} tile={tile:?}");
+                assert_bitwise(&got, &want, &format!("J={j} tile={tile:?}"));
             }
         }
-        // Folded / multi-partition (atomic) buckets: order across
-        // fragments is scheduling-dependent, so assert 1e-9 agreement.
+        // Folded and multi-partition buckets (the ones Algorithm 2
+        // flags `needs_atomic`): still one writer per row on the CPU.
         let csr = CsrMatrix::from_coo(&uniform_with_long_rows::<f64>(
             150, 160, 2200, 4, 120, &mut rng,
         ));
@@ -621,59 +505,111 @@ mod tests {
         let want = csr.spmm_reference(&b).unwrap();
         for tile in tiles {
             let got = ka.run_tiled(&b, tile).unwrap();
-            assert!(got.approx_eq(&want, 1e-9), "atomic tile={tile:?}");
+            assert_bitwise(&got, &want, &format!("folded tile={tile:?}"));
+            let bound = CellKernel::new(ka.cell().clone()).with_tile(tile);
+            assert_bitwise(
+                &bound.run(&b).unwrap(),
+                &want,
+                &format!("bound tile={tile:?}"),
+            );
         }
     }
 
     #[test]
-    fn plain_store_path_matches_forced_atomics_bitwise() {
-        // Single partition, no folding: every bucket is single-writer, so
-        // `run` takes plain stores while `run_forced_atomic` CAS-loops.
-        // Both add the same partial sums in the same order, so the
-        // results must be bit-identical.
-        let mut rng = Pcg32::seed_from_u64(22);
-        let csr = CsrMatrix::from_coo(&uniform_random::<f64>(120, 100, 1800, &mut rng));
-        let k = CellKernel::new(build_cell(&csr, &CellConfig::default()).unwrap());
-        assert!(k
-            .cell()
-            .partitions()
-            .iter()
-            .flat_map(|p| &p.buckets)
-            .all(|b| !b.needs_atomic));
-        for j in [1, 7, 33] {
-            let b = DenseMatrix::random(csr.cols(), j, &mut rng);
-            let fast = k.run(&b).unwrap();
-            let atomic = k.run_forced_atomic(&b).unwrap();
-            assert_eq!(fast.as_slice(), atomic.as_slice(), "J={j}");
+    fn row_blocks_partition_rows_and_balance_slots() {
+        // A short matrix (blocks cut at single rows) and a tall one
+        // (cut at aligned groups of 4 rows: 12000 rows > 3 × 4096).
+        let mut rng = Pcg32::seed_from_u64(24);
+        for (rows, group) in [(400usize, 1usize), (12_000, 4)] {
+            let csr = CsrMatrix::from_coo(&uniform_with_long_rows::<f64>(
+                rows,
+                300,
+                rows * 15,
+                4,
+                250,
+                &mut rng,
+            ));
+            check_row_blocks(
+                &build_cell(&csr, &CellConfig::with_partitions(3)).unwrap(),
+                group,
+            );
         }
     }
 
-    /// Seeded bug: two buckets both flagged atomic-free (`needs_atomic ==
-    /// false`) writing the same output row. The shadow race detector must
-    /// reject the second exclusive claim — in debug builds a mislabeled
-    /// bucket panics at the write site instead of silently clobbering the
-    /// other bucket's row.
+    fn check_row_blocks(cell: &CellMatrix<f64>, group: usize) {
+        let buckets: Vec<_> = cell.partitions().iter().flat_map(|p| &p.buckets).collect();
+        let slots = cell.stored_slots();
+        let mut group_load = vec![0usize; cell.rows().div_ceil(group)];
+        for bucket in &buckets {
+            for &r in &bucket.row_ind {
+                group_load[r as usize / group] += bucket.width;
+            }
+        }
+        let max_group = *group_load.iter().max().unwrap();
+        for chunk in [1usize, 64, 512, 1 << 20] {
+            let blocks = RowBlocks::new(cell, chunk);
+            let n = blocks.spans.len();
+            assert!(
+                (1..=slots.div_ceil(chunk)).contains(&n),
+                "chunk={chunk}: {n} blocks"
+            );
+            // Contiguous, non-empty, covering every row.
+            assert_eq!(blocks.spans[0].0, 0);
+            assert_eq!(blocks.spans.last().unwrap().1, cell.rows());
+            for w in blocks.spans.windows(2) {
+                assert_eq!(w[0].1, w[1].0);
+            }
+            assert!(blocks.spans.iter().all(|&(a, b)| a < b && a % group == 0));
+            // Balanced: no block holds more than its share plus one group.
+            for bi in 0..n {
+                let load: usize = buckets
+                    .iter()
+                    .enumerate()
+                    .map(|(q, bk)| {
+                        let (lo, hi) = blocks.ranges[bi * blocks.buckets + q];
+                        (hi - lo) * bk.width
+                    })
+                    .sum();
+                assert!(
+                    load <= slots / n + max_group,
+                    "chunk={chunk} block {bi}: {load}"
+                );
+            }
+            // Every bucket row lands in exactly one block's range.
+            for (q, bucket) in buckets.iter().enumerate() {
+                let mut next = 0;
+                for (bi, &(first, end)) in blocks.spans.iter().enumerate() {
+                    let (lo, hi) = blocks.ranges[bi * blocks.buckets + q];
+                    assert_eq!(lo, next);
+                    next = hi;
+                    for &r in &bucket.row_ind[lo..hi] {
+                        assert!((first..end).contains(&(r as usize)));
+                    }
+                }
+                assert_eq!(next, bucket.num_rows());
+            }
+        }
+    }
+
+    /// Seeded bug: a schedule whose second row block starts one row
+    /// early, overlapping the first block's last row. Both blocks carve
+    /// that row of `C`; the debug `DisjointSlice` claim must reject the
+    /// second carve instead of letting two workers write one row.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "single-writer")]
-    fn mislabeled_atomic_free_bucket_detected() {
-        use lf_cell::Partition;
-        let mk_bucket = |col: lf_sparse::Index| Bucket {
-            width: 1,
-            row_ind: vec![0],
-            col_ind: vec![col],
-            values: vec![1.0f64],
-            rows_per_block: 1,
-            needs_atomic: false,
-            has_folded: false,
+    fn overlapping_row_blocks_detected() {
+        let mut rng = Pcg32::seed_from_u64(25);
+        let csr = CsrMatrix::from_coo(&uniform_random::<f64>(64, 64, 1000, &mut rng));
+        let tile = TileParams {
+            chunk_slots: 128,
+            ..TileParams::default()
         };
-        let part = Partition {
-            col_range: (0, 4),
-            buckets: vec![mk_bucket(0), mk_bucket(1)],
-        };
-        let cell = CellMatrix::from_parts(2, 4, 2, vec![part], CellConfig::default());
-        let k = CellKernel::new(cell);
-        let _ = k.run(&DenseMatrix::<f64>::zeros(4, 2));
+        let mut k =
+            CellKernel::new(build_cell(&csr, &CellConfig::default()).unwrap()).with_tile(tile);
+        assert!(k.blocks.spans.len() >= 2);
+        k.blocks.spans[1].0 -= 1;
+        let _ = k.run(&DenseMatrix::<f64>::zeros(64, 3));
     }
 
     #[test]
@@ -682,7 +618,6 @@ mod tests {
         let csr = CsrMatrix::from_coo(&uniform_random::<f64>(10, 10, 30, &mut rng));
         let k = CellKernel::new(build_cell(&csr, &CellConfig::default()).unwrap());
         assert!(k.run(&DenseMatrix::<f64>::zeros(7, 3)).is_err());
-        assert!(k.run_legacy(&DenseMatrix::<f64>::zeros(7, 3)).is_err());
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! reproduction, each with two independent paths:
 //!
 //! * **numeric** — [`SpmmKernel::run`] computes the product on the CPU in
-//!   parallel, traversing the kernel's own data structure exactly as its
-//!   GPU mapping would (including atomic accumulation where the GPU would
-//!   use `atomicAdd`); results are checked against the sequential CSR
-//!   reference in every test;
+//!   parallel over the kernel's own data structure; results are checked
+//!   against the sequential CSR reference in every test. Most kernels
+//!   traverse their format as the GPU mapping would; CELL instead runs
+//!   owner-computes row blocks with no atomics, bitwise equal to the
+//!   reference (the GPU mapping and its atomics live only in
+//!   `launches`);
 //! * **analytic** — [`SpmmKernel::launches`] walks the same data structure
 //!   and emits per-thread-block [`lf_sim::BlockCost`] records (coalesced
 //!   transactions, L2/DRAM split, atomics, flops, lane efficiency), which
@@ -27,7 +29,7 @@
 //! | [`EllKernel`] | ELL baseline | warp-per-row over the padded grid |
 //! | [`SellKernel`] | sliced-ELL baseline | slice-per-block, per-slice widths |
 //! | [`BcsrKernel`] | Triton block-sparse | dense tile × dense tile per block |
-//! | [`CellKernel`] | **LiteForm CELL** | Algorithm 2: block-per-2^k-nnz, folding + atomics |
+//! | [`CellKernel`] | **LiteForm CELL** | Algorithm 2: block-per-2^k-nnz, folding + atomics (simulated); CPU: owner-computes row blocks, no atomics |
 
 pub mod batch;
 pub mod bcsr;
@@ -64,8 +66,8 @@ pub trait SpmmKernel<T: AtomicScalar>: Send + Sync {
     /// Shape of the sparse operand `(rows, cols)`.
     fn shape(&self) -> (usize, usize);
 
-    /// Compute `C = A · B` numerically (parallel CPU execution mirroring
-    /// the GPU mapping, atomics included).
+    /// Compute `C = A · B` numerically (parallel CPU execution over the
+    /// kernel's format).
     fn run(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>>;
 
     /// Emit the launch(es) this kernel issues for a dense operand with `j`

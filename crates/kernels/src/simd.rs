@@ -14,8 +14,9 @@
 //!
 //! Three shapes share the same arithmetic:
 //!
-//! * [`Lanes::Scalar`] — the kernels keep their original element-wise
-//!   loops (the pre-SIMD engine, byte-for-byte the same code shape);
+//! * [`Lanes::Scalar`] — the original element-wise loops (the pre-SIMD
+//!   engine): most kernels keep their own copy, CELL reaches the same
+//!   shape through [`accumulate_block`];
 //! * [`Lanes::X4`] / [`Lanes::X8`] — explicit 4/8-lane unrolled strips
 //!   the autovectorizer lowers to full-width vector code; on x86_64
 //!   with AVX2 detected at runtime the same generic body is entered
@@ -318,10 +319,13 @@ pub unsafe fn accumulate_block<T: Scalar>(
 ) {
     match lanes {
         Lanes::Scalar | Lanes::Auto => {
-            // The scalar fallback still block-gathers (callers share one
-            // code path) but sweeps element-wise.
-            // SAFETY: forwarded caller contract.
-            unsafe { block_body::<T, 1, 1>(acc, coeffs, rows, offset) }
+            // The pre-SIMD loop shape: one streaming pass over `acc` per
+            // gathered row. Each element still sees ascending `i`.
+            for (&a, row) in coeffs.iter().zip(rows) {
+                for (slot, &bv) in acc.iter_mut().zip(&row[offset..]) {
+                    *slot += a * bv;
+                }
+            }
         }
         Lanes::X4 => {
             #[cfg(target_arch = "x86_64")]

@@ -6,7 +6,9 @@
 //! duplicate-heavy streams, extreme aspect ratios, folded-row-heavy
 //! profiles) — builds **all ten** kernel configurations on it, and
 //! requires every result to match `CsrMatrix::spmm_reference` within the
-//! engine suite's 1e-9 bound.
+//! engine suite's 1e-9 bound. CELL is held to more: its output must equal
+//! the reference bitwise across partition counts, fold caps, dense
+//! widths, tile shapes and a fused `PreparedPlan::run_batched`.
 //!
 //! The corpus also rotates through a **malformed** class (broken
 //! row-pointer monotonicity, out-of-range column indices, length
@@ -35,6 +37,7 @@ use lf_kernels::{
 };
 use lf_sparse::gen::{fuzz_case, FUZZ_CLASSES};
 use lf_sparse::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, Pcg32, SellMatrix};
+use liteform_core::{PreparedPlan, PreprocessProfile};
 
 /// Every kernel in the repo, bound to the same operand and execution
 /// tile, paired with whether its mapping may use atomic accumulation
@@ -78,11 +81,10 @@ fn all_kernels(csr: &CsrMatrix<f64>, tile: TileParams) -> Vec<(Box<dyn SpmmKerne
                 CellKernel::new(build_cell(csr, &CellConfig::with_partitions(3)).unwrap())
                     .with_tile(tile),
             ),
-            true,
+            false,
         ),
-        // Width-capped build: long rows fold into fragments of the
-        // maximum bucket, exercising the atomic flush path (and its
-        // shared shadow claims) on every structural class.
+        // Width-capped build: long rows fold into consecutive fragments
+        // of the maximum bucket, all owned by one row block.
         (
             Box::new(
                 CellKernel::new(
@@ -90,7 +92,7 @@ fn all_kernels(csr: &CsrMatrix<f64>, tile: TileParams) -> Vec<(Box<dyn SpmmKerne
                 )
                 .with_tile(tile),
             ),
-            true,
+            false,
         ),
     ]
 }
@@ -195,6 +197,99 @@ fn fuzz_differential_all_kernels_match_reference() {
                     csr.nnz(),
                     k.name()
                 );
+            }
+        }
+    }
+}
+
+fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// CELL's owner-computes contract, bitwise: every well-formed structural
+/// class × p ∈ {1, 2, 4, 16} × fold caps {natural, 8, 32} × J ∈ {1, 8,
+/// 64, 200} × every tile shape (bound at construction through `run`, and
+/// passed per call through `run_tiled`), plus one fused
+/// `PreparedPlan::run_batched` over all four widths. Each `C` element is
+/// summed in CSR's ascending-k order, so nothing may differ from
+/// `spmm_reference` in any bit.
+#[test]
+fn cell_is_bitwise_equal_to_reference() {
+    let tiles = [
+        TileParams::default(),
+        TileParams::default().with_lanes(Lanes::Scalar),
+        TileParams {
+            j_tile: 32,
+            k_block: 3,
+            lanes: Lanes::X4,
+            chunk_slots: 64,
+        },
+        TileParams {
+            j_tile: 512,
+            k_block: 32,
+            lanes: Lanes::X8,
+            chunk_slots: 16384,
+        },
+        TileParams {
+            j_tile: 1,
+            k_block: 1,
+            lanes: Lanes::X8,
+            chunk_slots: 1,
+        },
+    ];
+    for seed in 0..FUZZ_CLASSES {
+        let case = fuzz_case::<f64>(seed);
+        if case.malformed {
+            continue;
+        }
+        let csr = &case.csr;
+        let mut rng = Pcg32::new(seed, 0xB17);
+        let bs: Vec<DenseMatrix<f64>> = [1, 8, 64, 200]
+            .iter()
+            .map(|&j| DenseMatrix::random(csr.cols(), j, &mut rng))
+            .collect();
+        let want: Vec<Vec<u64>> = bs
+            .iter()
+            .map(|b| bits(&csr.spmm_reference(b).unwrap()))
+            .collect();
+        for p in [1, 2, 4, 16] {
+            for cap in [None, Some(8), Some(32)] {
+                let mut cfg = CellConfig::with_partitions(p);
+                if let Some(cap) = cap {
+                    cfg = cfg.with_max_widths(vec![cap]);
+                }
+                let cell = build_cell(csr, &cfg).unwrap();
+                let at = |what: &str, j: usize| {
+                    format!(
+                        "seed {seed} [{}] {}x{} nnz={} p={p} cap={cap:?} J={j}: {what}",
+                        case.label,
+                        csr.rows(),
+                        csr.cols(),
+                        csr.nnz()
+                    )
+                };
+                let plain = CellKernel::new(cell.clone());
+                for tile in tiles {
+                    let bound = CellKernel::new(cell.clone()).with_tile(tile);
+                    for (b, want) in bs.iter().zip(&want) {
+                        let j = b.cols();
+                        let got = bound.run(b).unwrap();
+                        assert_eq!(&bits(&got), want, "{}", at(&format!("run {tile:?}"), j));
+                        let got = plain.run_tiled(b, tile).unwrap();
+                        assert_eq!(
+                            &bits(&got),
+                            want,
+                            "{}",
+                            at(&format!("run_tiled {tile:?}"), j)
+                        );
+                    }
+                }
+                let plan = PreparedPlan::from_cell(cfg, cell, PreprocessProfile::default());
+                let refs: Vec<&DenseMatrix<f64>> = bs.iter().collect();
+                let fused = plan.run_batched(&refs).unwrap();
+                for ((got, want), b) in fused.iter().zip(&want).zip(&bs) {
+                    assert_eq!(&bits(got), want, "{}", at("run_batched", b.cols()));
+                }
             }
         }
     }

@@ -1,14 +1,12 @@
 //! Cache-correctness properties of the serving engine.
 //!
 //! The contract: serving from the cache changes *when* work happens,
-//! never *what* is computed. For deterministic plans (single-partition,
-//! natural widths — the engine's atomic-free regime, proven bitwise
-//! reproducible in `lf-kernels`' engine suite) a cache-hit serve must be
-//! **bit-identical** to a cold compose+run, including after a full
-//! eviction/re-admission cycle. Plans whose buckets update `C` through
-//! atomics (multi-partition) accumulate in nondeterministic order — for
-//! those the property is agreement within floating-point tolerance, the
-//! same bound the kernel suite holds every engine path to.
+//! never *what* is computed. A cache-hit serve must be **bit-identical**
+//! to a cold compose+run, including after a full eviction/re-admission
+//! cycle. CELL executes owner-computes on the CPU, summing every output
+//! element in CSR order, so multi-partition plans (the ones Algorithm 2
+//! flags for atomics on the GPU) must equal the CSR reference bitwise
+//! too.
 
 use lf_serve::{FixedCellPlanner, Planner, ServeConfig, ServeEngine};
 use lf_sparse::gen::PatternFamily;
@@ -54,9 +52,7 @@ fn hit_is_bit_identical_to_cold_compose_and_run() {
 }
 
 #[test]
-fn hit_matches_cold_run_under_atomics_within_tolerance() {
-    // Multi-partition plans accumulate through atomics; order varies
-    // run-to-run, so the property is tight numeric agreement.
+fn multi_partition_hit_equals_reference_bitwise() {
     let planner = FixedCellPlanner::tuned(4);
     let engine = ServeEngine::new(planner, ServeConfig::default());
     for seed in 100..116u64 {
@@ -65,8 +61,8 @@ fn hit_matches_cold_run_under_atomics_within_tolerance() {
         let miss = engine.serve(&csr, &b).unwrap();
         let hit = engine.serve(&csr, &b).unwrap();
         assert!(!miss.hit && hit.hit, "seed {seed}");
-        assert!(miss.result.approx_eq(&want, 1e-9), "seed {seed}");
-        assert!(hit.result.approx_eq(&want, 1e-9), "seed {seed}");
+        assert_eq!(bits(&miss.result), bits(&want), "cold serve, seed {seed}");
+        assert_eq!(bits(&hit.result), bits(&want), "hit serve, seed {seed}");
     }
 }
 

@@ -24,8 +24,8 @@ pub trait AtomicScalar: Scalar {
 
     /// Plain (relaxed) `cell = v` — the single-writer fast path. On
     /// mainstream ISAs a relaxed atomic store compiles to an ordinary
-    /// store, so kernels whose output rows have exactly one writer
-    /// (`needs_atomic == false`) skip the CAS loop entirely.
+    /// store, so output elements with exactly one writer (TACO's
+    /// segment-interior rows) skip the CAS loop entirely.
     fn store_cell(cell: &Self::Cell, v: Self);
 
     /// Read a cell (safe once writers have joined).

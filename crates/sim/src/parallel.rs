@@ -572,6 +572,11 @@ mod tests {
     /// is reused.
     #[test]
     fn cancelled_region_drains_before_slot_reuse() {
+        // The spawn counter is process-global: hold the gate the
+        // pool-spawning tests share, and start the global pool before
+        // the snapshot so its first use is not counted as churn.
+        let _gate = pool::spawn_gate();
+        pool::global();
         let spawned_before = pool::workers_spawned_total();
         for seed in [0x5eed_0001u64, 0xdead_beef, 0xc0ff_ee11] {
             let mut s = seed;

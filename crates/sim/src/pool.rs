@@ -474,6 +474,15 @@ pub fn global() -> &'static ThreadPool {
     POOL.get_or_init(|| ThreadPool::new(global_pool_threads()))
 }
 
+/// Serializes the unit tests that spawn pool workers or assert on
+/// [`workers_spawned_total`]: the counter is process-global, so a test
+/// asserting it must not overlap a sibling test that spawns a pool.
+#[cfg(test)]
+pub(crate) fn spawn_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,6 +490,7 @@ mod tests {
 
     #[test]
     fn broadcast_runs_on_caller_and_helpers() {
+        let _gate = spawn_gate();
         let pool = ThreadPool::new(3);
         let runs = AtomicU64::new(0);
         pool.broadcast(3, &|| {
@@ -492,6 +502,7 @@ mod tests {
 
     #[test]
     fn zero_thread_pool_runs_inline() {
+        let _gate = spawn_gate();
         let pool = ThreadPool::new(0);
         let runs = AtomicU64::new(0);
         pool.broadcast(8, &|| {
@@ -502,6 +513,7 @@ mod tests {
 
     #[test]
     fn sequential_broadcasts_reuse_workers() {
+        let _gate = spawn_gate();
         let pool = ThreadPool::new(2);
         for _ in 0..100 {
             let counter = StdAtomicUsize::new(0);
@@ -519,6 +531,7 @@ mod tests {
 
     #[test]
     fn nested_broadcast_completes() {
+        let _gate = spawn_gate();
         let pool = ThreadPool::new(2);
         let hits = AtomicU64::new(0);
         pool.broadcast(2, &|| {
@@ -535,6 +548,7 @@ mod tests {
 
     #[test]
     fn submitter_panic_unwinds_cleanly_and_pool_survives() {
+        let _gate = spawn_gate();
         // A panicking body on the submitting thread must still unpublish
         // the job and wait for joined workers (the drop guard), so no
         // worker can dereference the dead stack frame. Iterate to stress
@@ -560,6 +574,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
+        let _gate = spawn_gate();
         let pool = ThreadPool::new(2);
         let entered = StdAtomicUsize::new(0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -591,6 +606,7 @@ mod tests {
 
     #[test]
     fn drop_joins_workers() {
+        let _gate = spawn_gate();
         let pool = ThreadPool::new(4);
         pool.broadcast(4, &|| {});
         drop(pool); // must not hang
@@ -598,6 +614,7 @@ mod tests {
 
     #[test]
     fn spawn_counter_tracks_new_pools() {
+        let _gate = spawn_gate();
         let before = workers_spawned_total();
         let pool = ThreadPool::new(2);
         assert_eq!(workers_spawned_total(), before + 2);
@@ -609,6 +626,7 @@ mod tests {
 
     #[test]
     fn global_pool_is_stable() {
+        let _gate = spawn_gate();
         let a = global() as *const ThreadPool;
         let b = global() as *const ThreadPool;
         assert_eq!(a, b);
