@@ -55,7 +55,7 @@ fn main() {
             .unwrap_or(f64::NAN);
         let plan = liteform.compose(&csr, J);
         let lf_profile = plan.profile;
-        let lf_s = plan.overhead.total_s();
+        let lf_s = lf_profile.total().wall_s;
         table.row(&[
             spec.name.to_string(),
             fmt(tir_s),

@@ -46,7 +46,7 @@ fn main() {
         let tir_s = cost.total_s();
         let plan = liteform.compose(&m.csr, J);
         agg_profile.accumulate(&plan.profile);
-        let lf_s = plan.overhead.total_s();
+        let lf_s = plan.profile.total().wall_s;
         points.push(Point {
             id: m.id.clone(),
             rows: m.csr.rows(),

@@ -544,7 +544,6 @@ pub fn decode_plan<T: AtomicScalar>(bytes: &[u8]) -> Result<PreparedPlan<T>, Cod
         tuned_j,
         features,
         tile,
-        overhead: Default::default(),
         profile: PreprocessProfile::default(),
         degraded: false,
         epoch,

@@ -12,33 +12,6 @@ use lf_sim::{DeviceModel, KernelProfile};
 use lf_sparse::{CsrMatrix, DenseMatrix, FormatFeatures, PartitionFeatures, Result};
 use serde::{Deserialize, Serialize};
 
-/// Where LiteForm's (real, wall-clock) construction time went — the
-/// quantity Figures 8–9 compare against the autotuners' kernel re-runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct OverheadBreakdown {
-    /// Feature extraction (both tables) in seconds.
-    pub feature_extraction_s: f64,
-    /// Format-selection inference in seconds.
-    pub selection_inference_s: f64,
-    /// Partition-count inference in seconds.
-    pub partition_inference_s: f64,
-    /// Algorithm-3 bucket-width search in seconds.
-    pub width_search_s: f64,
-    /// CELL materialization in seconds.
-    pub build_s: f64,
-}
-
-impl OverheadBreakdown {
-    /// Total construction overhead in seconds.
-    pub fn total_s(&self) -> f64 {
-        self.feature_extraction_s
-            + self.selection_inference_s
-            + self.partition_inference_s
-            + self.width_search_s
-            + self.build_s
-    }
-}
-
 /// What the composer decided.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanKind<T> {
@@ -58,9 +31,8 @@ pub enum PlanKind<T> {
 pub struct CompositionPlan<T> {
     /// The decision.
     pub kind: PlanKind<T>,
-    /// Wall-clock overhead breakdown (the Figures 8–9 quantity).
-    pub overhead: OverheadBreakdown,
-    /// Per-stage wall clock *and* allocation counters.
+    /// Per-stage wall clock and allocation counters; the wall clock is
+    /// the quantity Figures 8–9 compare against the autotuners.
     pub profile: PreprocessProfile,
 }
 
@@ -94,7 +66,6 @@ impl<T: AtomicScalar> CompositionPlan<T> {
             tuned_j,
             features,
             tile,
-            overhead: self.overhead,
             profile: self.profile,
             degraded: false,
             epoch: 0,
@@ -115,7 +86,7 @@ pub(crate) enum PreparedKernel<T: AtomicScalar> {
 ///
 /// This is the unit the serving layer (`lf-serve`) caches and reuses:
 /// building one pays the full Figure-2 pipeline once (recorded in
-/// [`PreparedPlan::overhead`] / [`PreparedPlan::profile`]); every
+/// [`PreparedPlan::profile`]); every
 /// subsequent [`PreparedPlan::run`] is a pure kernel execution with no
 /// re-validation, feature extraction, or construction cost.
 pub struct PreparedPlan<T: AtomicScalar> {
@@ -129,8 +100,6 @@ pub struct PreparedPlan<T: AtomicScalar> {
     pub(crate) features: TileFeatures,
     /// The cost-model-tuned execution tile bound into the kernel.
     pub(crate) tile: TileParams,
-    /// Wall-clock overhead breakdown of the one-off construction.
-    pub overhead: OverheadBreakdown,
     /// Per-stage wall clock and allocation counters of the construction.
     pub profile: PreprocessProfile,
     /// `true` when this plan is a **degraded fallback**: the intended
@@ -160,7 +129,6 @@ impl<T: AtomicScalar> PreparedPlan<T> {
             tuned_j: 0,
             features,
             tile,
-            overhead: profile.overhead(),
             profile,
             degraded: false,
             epoch: 0,
@@ -176,7 +144,6 @@ impl<T: AtomicScalar> PreparedPlan<T> {
             tuned_j: 0,
             features,
             tile,
-            overhead: profile.overhead(),
             profile,
             degraded: false,
             epoch: 0,
@@ -388,7 +355,6 @@ impl LiteForm {
         if !use_cell {
             return CompositionPlan {
                 kind: PlanKind::FixedCsr,
-                overhead: profile.overhead(),
                 profile,
             };
         }
@@ -418,7 +384,6 @@ impl LiteForm {
 
         CompositionPlan {
             kind: PlanKind::Cell { config, cell },
-            overhead: profile.overhead(),
             profile,
         }
     }
@@ -432,16 +397,16 @@ impl LiteForm {
     }
 
     /// Compose and execute `C = A · B`, returning the result, the
-    /// simulated kernel profile, and the plan's overhead accounting.
+    /// simulated kernel profile, and the plan's preprocessing profile.
     pub fn spmm<T: AtomicScalar>(
         &self,
         csr: &CsrMatrix<T>,
         b: &DenseMatrix<T>,
-    ) -> Result<(DenseMatrix<T>, KernelProfile, OverheadBreakdown)> {
+    ) -> Result<(DenseMatrix<T>, KernelProfile, PreprocessProfile)> {
         let plan = self.prepare(csr, b.cols());
         let c = plan.run(b)?;
         let profile = plan.kernel_profile(b.cols(), &self.device);
-        Ok((c, profile, plan.overhead))
+        Ok((c, profile, plan.profile))
     }
 
     /// Simulated kernel time of whatever the pipeline picks (no numeric
@@ -497,13 +462,14 @@ mod tests {
         let csr: CsrMatrix<f32> =
             CsrMatrix::from_coo(&lf_sparse::gen::mixed_regions(300, 300, 8000, 4, &mut rng));
         let b = DenseMatrix::random(300, 32, &mut rng);
-        let (c, profile, overhead) = lf.spmm(&csr, &b).unwrap();
+        let (c, profile, preprocess) = lf.spmm(&csr, &b).unwrap();
         // Numerically correct regardless of which path was taken.
         let want = csr.spmm_reference(&b).unwrap();
         assert!(c.approx_eq(&want, 1e-3));
         assert!(profile.time_ms > 0.0);
-        assert!(overhead.total_s() >= 0.0);
-        assert!(overhead.total_s() < 5.0, "pipeline must stay lightweight");
+        let total_s = preprocess.total().wall_s;
+        assert!(total_s >= 0.0);
+        assert!(total_s < 5.0, "pipeline must stay lightweight");
     }
 
     #[test]
@@ -522,27 +488,18 @@ mod tests {
         }
         // The five stages are all accounted (some may be ~0 but not
         // negative).
-        let o = plan.overhead;
-        for v in [
-            o.feature_extraction_s,
-            o.selection_inference_s,
-            o.partition_inference_s,
-            o.width_search_s,
-            o.build_s,
-        ] {
-            assert!(v >= 0.0);
+        for (name, stage) in plan.profile.named_stages() {
+            assert!(stage.wall_s >= 0.0, "{name}");
         }
     }
 
     #[test]
-    fn profile_mirrors_overhead_and_counts_allocations() {
+    fn profile_counts_allocations() {
         let lf = tiny_pipeline();
         let mut rng = Pcg32::seed_from_u64(8);
         let csr: CsrMatrix<f32> =
             CsrMatrix::from_coo(&lf_sparse::gen::mixed_regions(400, 400, 9000, 4, &mut rng));
         let plan = lf.compose(&csr, 64);
-        // The wall-clock view is derived from the profile, never drifts.
-        assert_eq!(plan.overhead, plan.profile.overhead());
         let total = plan.profile.total();
         assert!(total.wall_s >= 0.0);
         // Feature extraction allocates the feature vectors at minimum.

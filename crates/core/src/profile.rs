@@ -1,14 +1,12 @@
 //! Preprocessing observability: per-stage wall clock and allocation
 //! counters for the composition pipeline.
 //!
-//! [`PreprocessProfile`] is the instrumented sibling of
-//! [`crate::OverheadBreakdown`]: the same five Figure-2 stages, but each
-//! carries a [`StageStats`] with real allocation counts (from
-//! `lf-sim`'s counting global allocator) alongside the wall time. The
-//! `fig8_overhead` and `fig9_overhead_corpus` harnesses report it next
-//! to the baseline comparisons.
+//! [`PreprocessProfile`] records the five Figure-2 stages, each as a
+//! [`StageStats`] with the wall time and real allocation counts (from
+//! `lf-sim`'s counting global allocator). The `fig8_overhead` and
+//! `fig9_overhead_corpus` harnesses compare its total wall time with the
+//! autotuners' and report the per-stage table next to it.
 
-use crate::composer::OverheadBreakdown;
 use lf_sim::alloc as alloc_counters;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -113,17 +111,6 @@ impl PreprocessProfile {
         self.width_search.accumulate(&other.width_search);
         self.build.accumulate(&other.build);
     }
-
-    /// The wall-clock-only view (the quantity Figures 8–9 compare).
-    pub fn overhead(&self) -> OverheadBreakdown {
-        OverheadBreakdown {
-            feature_extraction_s: self.feature_extraction.wall_s,
-            selection_inference_s: self.selection_inference.wall_s,
-            partition_inference_s: self.partition_inference.wall_s,
-            width_search_s: self.width_search.wall_s,
-            build_s: self.build.wall_s,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_overhead_agree() {
+    fn totals_sum_every_stage() {
         let p = PreprocessProfile {
             width_search: StageStats {
                 wall_s: 0.25,
@@ -163,7 +150,6 @@ mod tests {
         assert!((t.wall_s - 1.0).abs() < 1e-12);
         assert_eq!(t.alloc_calls, 40);
         assert_eq!(t.alloc_bytes, 4000);
-        assert!((p.overhead().total_s() - 1.0).abs() < 1e-12);
     }
 
     #[test]

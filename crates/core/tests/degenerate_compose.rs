@@ -43,9 +43,9 @@ fn spmm_on_degenerate_inputs_returns_empty_results() {
     for (rows, cols) in [(0usize, 0usize), (0, 7), (7, 0)] {
         let csr = CsrMatrix::<f32>::empty(rows, cols);
         let b = DenseMatrix::zeros(cols, 4);
-        let (c, _profile, overhead) = lf.spmm(&csr, &b).unwrap();
+        let (c, _profile, preprocess) = lf.spmm(&csr, &b).unwrap();
         assert_eq!(c.shape(), (rows, 4), "{rows}x{cols}");
-        assert!(overhead.total_s() >= 0.0);
+        assert!(preprocess.total().wall_s >= 0.0);
     }
 }
 
@@ -63,6 +63,6 @@ fn zero_width_b_round_trips_through_every_plan_kind() {
     let lf = pipeline();
     let csr = CsrMatrix::<f32>::empty(12, 12);
     let b = DenseMatrix::zeros(12, 0);
-    let (c, _profile, _overhead) = lf.spmm(&csr, &b).unwrap();
+    let (c, _profile, _preprocess) = lf.spmm(&csr, &b).unwrap();
     assert_eq!(c.shape(), (12, 0));
 }

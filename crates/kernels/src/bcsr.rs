@@ -81,7 +81,13 @@ impl<T: AtomicScalar> BcsrKernel<T> {
                         let bcol = self.bcsr.block_col_ind()[k] as usize;
                         let tile = &self.bcsr.block_values()[k * slots..(k + 1) * slots];
                         if lanes == Lanes::Scalar {
-                            // The pre-SIMD engine, loop shape unchanged.
+                            // The element-wise loop stays a separate arm:
+                            // through the gathered arm at `Lanes::Scalar`, this
+                            // kernel's in-run scalar/SIMD ratio in `bench_spmm`
+                            // rose beyond the separate loop's run-to-run
+                            // spread, which would slow `LF_SIMD=off` and
+                            // inflate the SIMD speedup the `--bench` floor
+                            // checks.
                             for lc in 0..bc {
                                 let col = bcol * bc + lc;
                                 if col >= cols {

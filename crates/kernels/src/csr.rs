@@ -13,8 +13,8 @@ use lf_sparse::{CsrMatrix, DenseMatrix, Result, SparseError};
 /// Row-parallel CSR SpMM with an explicit execution tile. Each output
 /// row has exactly one writer, so workers accumulate straight into their
 /// disjoint `C` rows — no atomics, no per-row scratch allocation. With
-/// `Lanes::Scalar` the loop shape is the original element-wise engine;
-/// any wider lane mode gathers each row's `(coeff, B-row)` pairs in
+/// `Lanes::Scalar` the row runs its own element-wise loop; any wider
+/// lane mode gathers each row's `(coeff, B-row)` pairs in
 /// `k_block` chunks and applies them as register-blocked strip sweeps.
 /// Per-element accumulation order is ascending-k either way, so all
 /// modes are bitwise identical.
@@ -41,7 +41,10 @@ pub(crate) fn parallel_csr_spmm_tiled<T: AtomicScalar>(
             // worker, so the `i * j .. (i + 1) * j` windows never overlap.
             let crow = unsafe { out.slice_mut(i * j, j) };
             if lanes == Lanes::Scalar {
-                // The pre-SIMD engine, loop shape unchanged.
+                // The element-wise loop stays a separate arm: run through the
+                // gathered arm at `Lanes::Scalar`, this kernel measured about
+                // 20% slower in `bench_spmm`, which would slow `LF_SIMD=off`
+                // and inflate the SIMD speedup the `--bench` floor checks.
                 for (&k, &a) in csr.row_cols(i).iter().zip(csr.row_values(i)) {
                     let brow = b.row(k as usize);
                     for (cv, &bv) in crow.iter_mut().zip(brow) {

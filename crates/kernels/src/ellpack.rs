@@ -64,7 +64,11 @@ impl<T: AtomicScalar> EllKernel<T> {
                 // SAFETY: each row index goes to exactly one worker.
                 let crow = unsafe { out.slice_mut(i * j, j) };
                 if lanes == Lanes::Scalar {
-                    // The pre-SIMD engine, loop shape unchanged.
+                    // The element-wise loop stays a separate arm: run through
+                    // the gathered arm at `Lanes::Scalar`, this kernel measured
+                    // about 20% slower in `bench_spmm`, which would slow
+                    // `LF_SIMD=off` and inflate the SIMD speedup the `--bench`
+                    // floor checks.
                     for w in 0..width {
                         let (col, val) = self.ell.slot(i, w);
                         if col == ELL_PAD {

@@ -39,7 +39,6 @@ pub mod csr;
 pub mod ellpack;
 pub mod sell;
 pub mod simd;
-pub mod spmv;
 pub mod taco;
 
 pub use batch::{concat_columns, scatter_columns, scatter_crossover};
@@ -51,7 +50,6 @@ pub use sell::SellKernel;
 pub use simd::{
     accumulate_block, dispatched_lanes, simd_enabled, Gather, Lanes, TileParams, MAX_K_BLOCK,
 };
-pub use spmv::{spmv, spmv_profile};
 pub use taco::{TacoKernel, TacoSchedule};
 
 use lf_sim::atomicf::AtomicScalar;

@@ -72,7 +72,11 @@ impl<T: AtomicScalar> SellKernel<T> {
                     // one worker.
                     let crow = unsafe { out.slice_mut(row * j, j) };
                     if lanes == Lanes::Scalar {
-                        // The pre-SIMD engine, loop shape unchanged.
+                        // The element-wise loop stays a separate arm: run
+                        // through the gathered arm at `Lanes::Scalar`, this
+                        // kernel measured about 20% slower in `bench_spmm`,
+                        // which would slow `LF_SIMD=off` and inflate the SIMD
+                        // speedup the `--bench` floor checks.
                         for k in 0..slice.width {
                             let col = slice.col_ind[local * slice.width + k];
                             if col == ELL_PAD {

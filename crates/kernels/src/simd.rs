@@ -14,9 +14,11 @@
 //!
 //! Three shapes share the same arithmetic:
 //!
-//! * [`Lanes::Scalar`] — the original element-wise loops (the pre-SIMD
-//!   engine): most kernels keep their own copy, CELL reaches the same
-//!   shape through [`accumulate_block`];
+//! * [`Lanes::Scalar`] — element-wise loops, one streaming pass over
+//!   the output strip per non-zero: CELL and TACO reach this shape
+//!   through [`accumulate_block`]; the CSR, ELL, SELL and BCSR kernels
+//!   keep their own loop, because the gathered arm measured slower on
+//!   their traversals (about 20% for CSR, ELL and SELL);
 //! * [`Lanes::X4`] / [`Lanes::X8`] — explicit 4/8-lane unrolled strips
 //!   the autovectorizer lowers to full-width vector code; on x86_64
 //!   with AVX2 detected at runtime the same generic body is entered
@@ -26,7 +28,7 @@
 //!
 //! [`Lanes::Auto`] resolves to the widest shape the machine supports.
 //! Setting `LF_SIMD=off` (or `0` / `scalar`) forces **every** resolution
-//! to `Scalar` — the escape hatch back to the pre-SIMD engine.
+//! to `Scalar` — the escape hatch to the element-wise loops.
 //!
 //! # Bitwise determinism
 //!
@@ -53,7 +55,7 @@ pub enum Lanes {
     /// Resolve to the widest available shape at kernel entry
     /// (respecting `LF_SIMD=off`).
     Auto,
-    /// Original element-wise loops (the pre-SIMD engine).
+    /// Element-wise loops, one pass over the output strip per non-zero.
     Scalar,
     /// 4-lane unrolled strips.
     X4,
@@ -319,7 +321,7 @@ pub unsafe fn accumulate_block<T: Scalar>(
 ) {
     match lanes {
         Lanes::Scalar | Lanes::Auto => {
-            // The pre-SIMD loop shape: one streaming pass over `acc` per
+            // The element-wise shape: one streaming pass over `acc` per
             // gathered row. Each element still sees ascending `i`.
             for (&a, row) in coeffs.iter().zip(rows) {
                 for (slot, &bv) in acc.iter_mut().zip(&row[offset..]) {

@@ -4,10 +4,11 @@
 //! (non-atomic) output writes wherever rows have a single writer, so this
 //! suite pins down the behaviors that rewrite could have silently broken:
 //!
-//! * numeric agreement with the sequential CSR reference for every kernel
+//! * agreement with the sequential CSR reference for every kernel
 //!   across degenerate and tiling-boundary dense widths
 //!   (`J ∈ {0, 1, 7, 33, 256}` — 256 crosses the engine's accumulator
-//!   tile);
+//!   tile): bitwise for every single-writer kernel, within `1e-9` for
+//!   TACO;
 //! * empty buckets / empty partitions / empty matrices;
 //! * bitwise run-to-run determinism of the atomic-free paths;
 //! * CELL's owner-computes path being bit-identical to the sequential
@@ -22,6 +23,33 @@ use lf_kernels::{
 use lf_sparse::gen::{mixed_regions, uniform_random, uniform_with_long_rows};
 use lf_sparse::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, Pcg32, SellMatrix};
 use proptest::prelude::*;
+
+fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The reference is the independent oracle. Single-writer kernels sum
+/// every `C` element in CSR's ascending-k order with no fused
+/// multiply-add, in every lane mode, so they must equal it bitwise.
+/// TACO reduces rows that straddle a segment boundary with atomics in
+/// scheduling order, so it is held to `1e-9`.
+fn assert_matches_reference(
+    got: &DenseMatrix<f64>,
+    want: &DenseMatrix<f64>,
+    atomics: bool,
+    what: &str,
+) {
+    assert_eq!(got.shape(), want.shape(), "{what}");
+    if atomics {
+        assert!(got.approx_eq(want, 1e-9), "{what}");
+    } else {
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "{what}: must equal the reference bitwise"
+        );
+    }
+}
 
 /// Every kernel in the repo, bound to the same operand.
 fn all_kernels(csr: &CsrMatrix<f64>) -> Vec<Box<dyn SpmmKernel<f64>>> {
@@ -51,8 +79,8 @@ fn every_kernel_matches_reference_at_edge_widths() {
         let want = csr.spmm_reference(&b).unwrap();
         for k in all_kernels(&csr) {
             let got = k.run(&b).unwrap();
-            assert_eq!(got.shape(), (csr.rows(), j), "{} J={j}", k.name());
-            assert!(got.approx_eq(&want, 1e-9), "{} J={j}", k.name());
+            let what = format!("{} J={j}", k.name());
+            assert_matches_reference(&got, &want, k.name() == "taco", &what);
         }
     }
 }
@@ -121,10 +149,10 @@ fn atomic_free_paths_are_bitwise_deterministic() {
 }
 
 /// The SIMD engine contract: for every kernel, every lane mode and tile
-/// shape accumulates each output element in the same ascending-k order
-/// as the original scalar loop, so on atomic-free paths the results are
-/// **bitwise** identical — the `LF_SIMD=off` escape hatch can never
-/// change an answer. TACO's segment-boundary atomics are scheduling-order
+/// shape accumulates each output element in the reference's ascending-k
+/// order, so on atomic-free paths the results equal the reference
+/// **bitwise** — the `LF_SIMD=off` escape hatch can never change an
+/// answer. TACO's segment-boundary atomics are scheduling-order
 /// nondeterministic and are held to the suite's 1e-9 bound; CELL has one
 /// writer per row even when folded or multi-partition.
 #[test]
@@ -230,19 +258,14 @@ fn scalar_and_wide_tiles_agree_for_every_kernel() {
     ];
     let want = csr.spmm_reference(&b).unwrap();
     for (name, run, atomics) in &cases {
-        let base = run(scalar);
-        assert!(base.approx_eq(&want, 1e-9), "{name} scalar tile");
+        assert_matches_reference(
+            &run(scalar),
+            &want,
+            *atomics,
+            &format!("{name} scalar tile"),
+        );
         for (ti, &tile) in wide_tiles.iter().enumerate() {
-            let got = run(tile);
-            assert!(got.approx_eq(&want, 1e-9), "{name} tile #{ti}");
-            if !atomics {
-                let base_bits: Vec<u64> = base.as_slice().iter().map(|v| v.to_bits()).collect();
-                let got_bits: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(
-                    base_bits, got_bits,
-                    "{name} tile #{ti}: wide lanes must be bitwise-equal to the scalar engine"
-                );
-            }
+            assert_matches_reference(&run(tile), &want, *atomics, &format!("{name} tile #{ti}"));
         }
     }
 }
@@ -268,9 +291,7 @@ proptest! {
         let cell = build_cell(&csr, &CellConfig::with_partitions(p)).unwrap();
         let k = CellKernel::new(cell);
         let b = DenseMatrix::random(cols, j, &mut rng);
-        let got: Vec<u64> = k.run(&b).unwrap().as_slice().iter().map(|v| v.to_bits()).collect();
-        let want = csr.spmm_reference(&b).unwrap();
-        let want: Vec<u64> = want.as_slice().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(got, want);
+        let got = k.run(&b).unwrap();
+        prop_assert_eq!(bits(&got), bits(&csr.spmm_reference(&b).unwrap()));
     }
 }

@@ -69,8 +69,9 @@ fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Scalar accumulate: the exact shape of the kernels' pre-SIMD inner
-/// loops.
+/// Scalar accumulate: the shape of the kernels' `Lanes::Scalar` inner
+/// loops (the CSR, ELL, SELL and BCSR kernels' own arm, and the
+/// microkernel's scalar arm).
 fn axpy_scalar(acc: &mut [f32], a: f32, b: &[f32]) {
     for (cv, &bv) in acc.iter_mut().zip(b) {
         *cv += a * bv;

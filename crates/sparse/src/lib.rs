@@ -6,33 +6,27 @@
 //! types, format conversions, matrix feature extraction, deterministic
 //! random generators for synthetic workloads, and Matrix Market IO.
 //!
-//! The sparse formats implemented here are the *elementwise* and classic
-//! *blockwise* formats surveyed in §2.1 of the paper:
+//! The sparse formats implemented here are the ones some kernel or
+//! baseline of the evaluation executes (§2.1 of the paper surveys more):
 //!
-//! * [`CooMatrix`] — coordinate list
-//! * [`CsrMatrix`] / [`CscMatrix`] — compressed sparse row / column
-//! * [`DcsrMatrix`] — doubly-compressed sparse row (hypersparse)
+//! * [`CooMatrix`] — coordinate list (construction and Matrix Market IO)
+//! * [`CsrMatrix`] — compressed sparse row, the fixed-format fallback
 //! * [`EllMatrix`] — Ellpack with left-packed rows and zero padding
 //! * [`SellMatrix`] — sliced Ellpack (per-slice width)
-//! * [`DiaMatrix`] — diagonal storage for banded matrices
 //! * [`BcsrMatrix`] — block compressed sparse row (zero-padded dense blocks)
-//! * [`HybMatrix`] — classic ELL + COO hybrid
 //!
 //! The paper's own composable CELL format lives in the `lf-cell` crate and
-//! is built from [`CsrMatrix`].
+//! is built from [`CsrMatrix`]; the SparseTIR baseline's `hyb` is modelled
+//! as a CELL configuration, not as a format of its own.
 
 pub mod bcsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
-pub mod dcsr;
 pub mod dense;
-pub mod dia;
 pub mod ell;
 pub mod error;
 pub mod features;
 pub mod gen;
-pub mod hyb;
 pub mod io;
 pub mod rng;
 pub mod scalar;
@@ -41,15 +35,11 @@ pub mod update;
 
 pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use dcsr::DcsrMatrix;
 pub use dense::DenseMatrix;
-pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
 pub use error::SparseError;
 pub use features::{FormatFeatures, PartitionFeatures, RowStats};
-pub use hyb::HybMatrix;
 pub use rng::Pcg32;
 pub use scalar::Scalar;
 pub use sell::SellMatrix;

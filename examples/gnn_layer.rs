@@ -71,7 +71,7 @@ fn main() {
     let x = DenseMatrix::random(adj.cols(), hidden, &mut rng);
 
     // LiteForm composes a format and runs the SpMM.
-    let (mut h_next, profile, overhead) = liteform.spmm(&adj, &x).expect("dims match");
+    let (mut h_next, profile, preprocess) = liteform.spmm(&adj, &x).expect("dims match");
     relu_inplace(&mut h_next);
 
     // Verify against the reference aggregation.
@@ -82,11 +82,11 @@ fn main() {
 
     println!(
         "composition overhead: {:.3} ms (features {:.3} + inference {:.3} + width search {:.3} + build {:.3})",
-        overhead.total_s() * 1e3,
-        overhead.feature_extraction_s * 1e3,
-        (overhead.selection_inference_s + overhead.partition_inference_s) * 1e3,
-        overhead.width_search_s * 1e3,
-        overhead.build_s * 1e3,
+        preprocess.total().wall_s * 1e3,
+        preprocess.feature_extraction.wall_s * 1e3,
+        (preprocess.selection_inference.wall_s + preprocess.partition_inference.wall_s) * 1e3,
+        preprocess.width_search.wall_s * 1e3,
+        preprocess.build.wall_s * 1e3,
     );
     println!(
         "simulated kernel: {:.4} ms on {} ({} blocks, utilization {:.2})",

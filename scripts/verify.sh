@@ -1,5 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: build, test, format, lint.
+# Tier-1 verification gate: build, test, format, lint. The test stage
+# also reruns the kernel engine edge cases and the differential fuzzer
+# with the SIMD escape hatch (LF_SIMD=off), so the forced-scalar arms —
+# the CSR/ELL/SELL/BCSR kernels' own loops and the microkernel's scalar
+# arm that CELL and TACO gather through — meet the same reference
+# oracles as the vector lanes (bitwise for every kernel but TACO).
 #
 # Run from the repo root. Fails fast on the first broken stage so CI and
 # pre-commit hooks get a single unambiguous exit code.
@@ -69,8 +74,8 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> engine edge cases with the SIMD escape hatch (LF_SIMD=off)"
-LF_SIMD=off cargo test --release -p lf-kernels --test engine_edge_cases -q
+echo "==> engine edge cases + differential fuzz with the SIMD escape hatch (LF_SIMD=off)"
+LF_SIMD=off cargo test --release -p lf-kernels --test engine_edge_cases --test fuzz_differential -q
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

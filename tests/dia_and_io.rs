@@ -1,29 +1,22 @@
-//! Integration: DIA + SELL participate in the format ecosystem, and the
-//! Matrix Market path round-trips matrices that exercise every format.
+//! Integration: SELL participates in the format ecosystem, and the
+//! Matrix Market path round-trips matrices exactly.
 
 use liteform::kernels::{SellKernel, SpmmKernel};
 use liteform::sparse::io::{read_matrix_market, write_matrix_market};
-use liteform::sparse::{CooMatrix, CsrMatrix, DenseMatrix, DiaMatrix, Pcg32, SellMatrix};
+use liteform::sparse::{CooMatrix, CsrMatrix, DenseMatrix, Pcg32, SellMatrix};
 
 #[test]
-fn banded_matrix_prefers_dia_and_roundtrips_via_mtx() {
+fn banded_matrix_roundtrips_via_mtx() {
     let mut rng = Pcg32::seed_from_u64(17);
     let coo = liteform::sparse::gen::banded::<f64>(300, 300, 4, &mut rng);
     let csr = CsrMatrix::from_coo(&coo);
-
-    // DIA is compact on banded structure.
-    let dia = DiaMatrix::from_csr(&csr, 16).expect("few diagonals");
-    assert!(dia.memory_bytes() < csr.memory_bytes());
-    assert_eq!(dia.to_csr(), csr);
 
     // Matrix Market round trip preserves the matrix exactly.
     let mut buf = Vec::new();
     write_matrix_market(&coo, &mut buf).unwrap();
     let back: CooMatrix<f64> = read_matrix_market(buf.as_slice()).unwrap();
     assert_eq!(back, coo);
-    // And the DIA built from the round-tripped matrix is identical.
-    let dia2 = DiaMatrix::from_csr(&CsrMatrix::from_coo(&back), 16).unwrap();
-    assert_eq!(dia2, dia);
+    assert_eq!(CsrMatrix::from_coo(&back), csr);
 }
 
 #[test]

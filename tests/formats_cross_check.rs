@@ -1,17 +1,14 @@
 //! Cross-crate integration: every storage format and every kernel must
-//! agree numerically with the sequential CSR reference on matrices from
-//! every generator family.
+//! agree with the sequential CSR reference on matrices from every
+//! generator family — bitwise for the single-writer kernels.
 
 use liteform::cell::{build_cell, CellConfig};
 use liteform::kernels::{
     BcsrKernel, CellKernel, CsrScalarKernel, CsrVectorKernel, DgSparseKernel, EllKernel,
-    SpmmKernel, SputnikKernel, TacoKernel, TacoSchedule,
+    SellKernel, SpmmKernel, SputnikKernel, TacoKernel, TacoSchedule,
 };
 use liteform::sparse::gen::PatternFamily;
-use liteform::sparse::{
-    BcsrMatrix, CscMatrix, CsrMatrix, DcsrMatrix, DenseMatrix, EllMatrix, HybMatrix, Pcg32,
-    SellMatrix,
-};
+use liteform::sparse::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, Pcg32, SellMatrix};
 
 fn matrices() -> Vec<(String, CsrMatrix<f64>)> {
     let mut rng = Pcg32::seed_from_u64(0xF00D);
@@ -28,8 +25,6 @@ fn matrices() -> Vec<(String, CsrMatrix<f64>)> {
 fn all_formats_round_trip_through_csr() {
     for (name, csr) in matrices() {
         assert_eq!(CsrMatrix::from_coo(&csr.to_coo()), csr, "{name}: coo");
-        assert_eq!(CscMatrix::from_csr(&csr).to_csr(), csr, "{name}: csc");
-        assert_eq!(DcsrMatrix::from_csr(&csr).to_csr(), csr, "{name}: dcsr");
         assert_eq!(EllMatrix::from_csr(&csr).to_csr(), csr, "{name}: ell");
         assert_eq!(
             SellMatrix::from_csr(&csr, 32).unwrap().to_csr(),
@@ -40,11 +35,6 @@ fn all_formats_round_trip_through_csr() {
             BcsrMatrix::from_csr(&csr, 4, 4).unwrap().to_csr(),
             csr,
             "{name}: bcsr"
-        );
-        assert_eq!(
-            HybMatrix::from_csr(&csr, 4).unwrap().to_csr(),
-            csr,
-            "{name}: hyb"
         );
         for p in [1, 3, 5] {
             let cell = build_cell(&csr, &CellConfig::with_partitions(p)).unwrap();
@@ -59,8 +49,12 @@ fn all_kernels_agree_with_reference() {
     for (name, csr) in matrices() {
         let b = DenseMatrix::random(csr.cols(), 40, &mut rng);
         let want = csr.spmm_reference(&b).unwrap();
+        let want_bits: Vec<u64> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+        // Single-writer kernels sum each element in the reference's
+        // ascending-k order, so they must match it bitwise.
         let check = |label: &str, got: DenseMatrix<f64>| {
-            assert!(got.approx_eq(&want, 1e-9), "{name}/{label} wrong result");
+            let got_bits: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "{name}/{label} not bitwise-equal");
         };
         check(
             "csr-scalar",
@@ -75,15 +69,21 @@ fn all_kernels_agree_with_reference() {
             DgSparseKernel::new(csr.clone()).run(&b).unwrap(),
         );
         check("sputnik", SputnikKernel::new(csr.clone()).run(&b).unwrap());
-        check(
-            "taco",
-            TacoKernel::new(csr.clone(), TacoSchedule::default())
-                .run(&b)
-                .unwrap(),
-        );
+        // TACO reduces rows that straddle a segment boundary with
+        // atomics in scheduling order.
+        let taco = TacoKernel::new(csr.clone(), TacoSchedule::default())
+            .run(&b)
+            .unwrap();
+        assert!(taco.approx_eq(&want, 1e-9), "{name}/taco wrong result");
         check(
             "ell",
             EllKernel::new(EllMatrix::from_csr(&csr)).run(&b).unwrap(),
+        );
+        check(
+            "sell",
+            SellKernel::new(SellMatrix::from_csr(&csr, 32).unwrap())
+                .run(&b)
+                .unwrap(),
         );
         check(
             "bcsr",
