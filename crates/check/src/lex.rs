@@ -361,9 +361,12 @@ pub struct Item {
     /// Token indices of the body's `{` and `}` (`None` for bodyless
     /// declarations like trait-method signatures or `mod foo;`).
     pub body: Option<(usize, usize)>,
-    /// `true` when the item itself carries a `#[test]` or
-    /// `#[cfg(… test …)]` attribute (ancestors are *not* folded in —
-    /// see [`ItemIndex::in_test`]).
+    /// `true` when the item itself carries a `#[test]` attribute, or is
+    /// a `mod` under `#[cfg(… test …)]` (ancestors are *not* folded in
+    /// — see [`ItemIndex::in_test`]). A `#[cfg(test)]` fn or impl in a
+    /// production module stays under the rules: that is how seeded-bug
+    /// variants kept out of production builds stay visible to the rules
+    /// that rediscover them.
     pub test_only: bool,
     /// Index of the innermost enclosing item, if any.
     pub parent: Option<usize>,
@@ -426,7 +429,7 @@ impl ItemIndex {
             // indexed; harmless for the rules, which only look at fn
             // bodies and test gating.
             let body = find_body(toks, pair, i);
-            let test_only = attrs_mention_test(src, toks, pair, i);
+            let test_only = test_gated(src, toks, pair, i, matches!(kind, ItemKind::Mod { .. }));
             let parent = stack.last().map(|&(idx, _)| idx);
             items.push(Item {
                 kind,
@@ -578,11 +581,18 @@ fn impl_type_name(src: &str, toks: &[Tok], pair: &[Option<usize>], kw: usize) ->
     last
 }
 
-/// Do the attributes directly above the item keyword at `kw` mention
-/// `test` (covers `#[test]`, `#[cfg(test)]`, `#[cfg(any(test, …))]`)?
-/// Walks back over visibility/qualifier keywords, doc comments, and
-/// attribute groups.
-fn attrs_mention_test(src: &str, toks: &[Tok], pair: &[Option<usize>], kw: usize) -> bool {
+/// Do the attributes directly above the item keyword at `kw` make it
+/// test code? `#[test]` always does; with `any_mention` (for modules),
+/// so does any attribute mentioning `test` (`#[cfg(test)]`,
+/// `#[cfg(any(test, …))]`). Walks back over visibility/qualifier
+/// keywords, doc comments, and attribute groups.
+fn test_gated(
+    src: &str,
+    toks: &[Tok],
+    pair: &[Option<usize>],
+    kw: usize,
+    any_mention: bool,
+) -> bool {
     let mut i = kw;
     loop {
         let Some(j) = i.checked_sub(1) else {
@@ -619,10 +629,12 @@ fn attrs_mention_test(src: &str, toks: &[Tok], pair: &[Option<usize>], kw: usize
                 if !hashed {
                     return false;
                 }
-                for t in &toks[open..j] {
-                    if t.kind == TokKind::Ident && &src[t.lo..t.hi] == "test" {
-                        return true;
-                    }
+                let is_test = |t: &Tok| t.kind == TokKind::Ident && &src[t.lo..t.hi] == "test";
+                let attr = &toks[open + 1..j];
+                if (any_mention && attr.iter().any(is_test))
+                    || matches!(attr, [only] if is_test(only))
+                {
+                    return true;
                 }
                 i = open - 1;
             }
@@ -694,6 +706,8 @@ mod tests {
 impl<T: Clone> Board<T> {
     fn admit(&self) {}
     pub(crate) fn close(&self) { let x = 1; }
+    #[cfg(test)]
+    fn seeded(&self) {}
 }
 #[cfg(test)]
 mod tests {
@@ -719,12 +733,14 @@ mod tests {
                 "impl Board",
                 "fn admit",
                 "fn close",
+                "fn seeded",
                 "mod tests",
                 "fn check_it"
             ]
         );
-        assert!(idx.items[3].test_only, "cfg(test) mod");
-        assert!(idx.items[4].test_only, "#[test] fn");
+        assert!(!idx.items[3].test_only, "cfg(test) fn stays linted");
+        assert!(idx.items[4].test_only, "cfg(test) mod");
+        assert!(idx.items[5].test_only, "#[test] fn");
         // `inner()` call is inside a test item.
         let inner_tok = toks
             .iter()

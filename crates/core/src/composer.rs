@@ -308,6 +308,34 @@ impl<T: AtomicScalar> std::fmt::Debug for PreparedPlan<T> {
     }
 }
 
+/// The CELL tail of every composition: the Algorithm-3 bucket-width
+/// search over `p` column partitions (skipped when `tune_widths` is
+/// `false`, leaving natural widths), then construction with uniform
+/// block sizes in multiples of 4 nonzeros. Each step is timed into
+/// `profile` (`width_search`, `build`). `p` must already be clamped to
+/// `1..=cols`.
+pub fn compose_cell<T: AtomicScalar>(
+    csr: &CsrMatrix<T>,
+    p: usize,
+    j: usize,
+    tune_widths: bool,
+    profile: &mut PreprocessProfile,
+) -> (CellConfig, CellMatrix<T>) {
+    let (max_widths, stats) =
+        StageStats::measure(|| tune_widths.then(|| optimal_widths_for_matrix(csr, p, j)));
+    profile.width_search = stats;
+    let config = CellConfig {
+        num_partitions: p,
+        max_widths,
+        block_nnz_multiple: 4,
+        uniform_block_nnz: true,
+    };
+    let (cell, stats) =
+        StageStats::measure(|| build_cell(csr, &config).expect("p is clamped to 1..=cols"));
+    profile.build = stats;
+    (config, cell)
+}
+
 /// The assembled LiteForm pipeline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LiteForm {
@@ -367,21 +395,8 @@ impl LiteForm {
         });
         profile.partition_inference = stats;
 
-        // 4. Bucket widths per partition (Algorithm 3).
-        let (widths, stats) = StageStats::measure(|| optimal_widths_for_matrix(csr, p, j));
-        profile.width_search = stats;
-
-        // 5. Materialize.
-        let config = CellConfig {
-            num_partitions: p,
-            max_widths: Some(widths),
-            block_nnz_multiple: 4,
-            uniform_block_nnz: true,
-        };
-        let (cell, stats) =
-            StageStats::measure(|| build_cell(csr, &config).expect("validated config"));
-        profile.build = stats;
-
+        // 4–5. Bucket widths per partition (Algorithm 3), materialize.
+        let (config, cell) = compose_cell(csr, p, j, true, &mut profile);
         CompositionPlan {
             kind: PlanKind::Cell { config, cell },
             profile,
@@ -544,5 +559,30 @@ mod tests {
         let csr: CsrMatrix<f32> =
             CsrMatrix::from_coo(&lf_sparse::gen::uniform_random(200, 200, 3000, &mut rng));
         assert!(lf.simulated_time_ms(&csr, 128) > 0.0);
+    }
+
+    #[test]
+    fn prepared_plan_debug_names_each_field_once() {
+        let csr =
+            CsrMatrix::<f64>::from_raw_unchecked(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0, 2.0]);
+        let shown = format!(
+            "{:?}",
+            PreparedPlan::from_csr(csr, PreprocessProfile::default())
+        );
+        for field in [
+            "kernel",
+            "shape",
+            "tuned_j",
+            "tile",
+            "format_bytes",
+            "degraded",
+            "epoch",
+        ] {
+            assert_eq!(
+                shown.matches(&format!(" {field}: ")).count(),
+                1,
+                "{field} in {shown}"
+            );
+        }
     }
 }

@@ -30,7 +30,7 @@ pub mod selector;
 pub mod training;
 
 pub use codec::{decode_plan, encode_plan, CodecError};
-pub use composer::{CompositionPlan, LiteForm, PlanKind, PreparedPlan};
+pub use composer::{compose_cell, CompositionPlan, LiteForm, PlanKind, PreparedPlan};
 pub use error::{panic_detail, LfError, LfResult};
 pub use predictor::PartitionPredictor;
 pub use pretrained::ModelBundle;

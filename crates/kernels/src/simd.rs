@@ -266,7 +266,9 @@ unsafe fn block_body<T: Scalar, const LANES: usize, const GROUPS: usize>(
 /// mul-then-add path in the last ulp and the batched-vs-solo bitwise
 /// property breaks. `crates/check/tests/lint_rules.rs` runs the lint
 /// with suppressions ignored and asserts the `determinism` rule
-/// rediscovers this line.
+/// rediscovers this line. Test builds only: the lint reads it in place,
+/// production builds never compile it.
+#[cfg(test)]
 #[allow(dead_code)]
 fn scalar_tail_fma_reverted(acc: &mut [f64], coeffs: &[f64], rows: &[&[f64]], offset: usize) {
     for (s, slot) in acc.iter_mut().enumerate() {

@@ -6,13 +6,14 @@
 //! window while concurrent same-fingerprint requests join by depositing
 //! their dense operand, their cancel token, and a [`JoinSlot`] to wait
 //! on. When the window elapses — or the fused-width cap is reached,
-//! whichever comes first — the leader closes the group, runs **one**
-//! fused SpMM over the concatenated operands, and resolves every
-//! member's slot individually: each member keeps its own deadline
-//! verdict, its own ledger class, and (after a fused panic) its own
-//! reference rescue. The engine half of the protocol lives in
-//! `engine.rs` (`serve_batched` / `run_batch`); this module owns the
-//! synchronization.
+//! whichever comes first — the leader closes the group and runs the
+//! engine's two request stages once for all members: `resolve` at the
+//! fused width, then `execute` over every member's operand as **one**
+//! fused SpMM. Each member's slot is resolved individually: each member
+//! keeps its own deadline verdict, its own ledger class, and (after a
+//! fused panic) its own reference rescue. The engine half of the
+//! protocol lives in `engine.rs` (`coalesce` / `run_group`); this module
+//! owns the synchronization.
 //!
 //! Invariants:
 //!
@@ -30,10 +31,11 @@
 //!   panicking leader by releasing the stragglers as
 //!   [`Resolution::Solo`].
 
+use crate::engine::ServeOutcome;
 use crate::fingerprint::Fingerprint;
 use lf_sim::cancel::CancelToken;
 use lf_sparse::{DenseMatrix, Scalar};
-use liteform_core::{LfError, PreprocessProfile};
+use liteform_core::LfError;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -44,19 +46,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// How the coalescer settled one member's request.
 pub(crate) enum Resolution<T> {
-    /// The fused run (or this member's per-member rescue after a fused
-    /// panic) produced the member's result slice.
-    Served {
-        /// This member's columns of the fused product.
-        result: DenseMatrix<T>,
-        /// Whether the fused-width plan came from the cache.
-        hit: bool,
-        /// Whether the result came down the degradation ladder.
-        degraded: bool,
-        /// Compose instrumentation — `Some` only on the leader when the
-        /// fused plan was freshly composed.
-        compose: Option<PreprocessProfile>,
-    },
+    /// The fused run (or this member's own rescue after a fused panic)
+    /// served the member its columns of the product.
+    Served(ServeOutcome<T>),
     /// The member failed with a typed error (its own deadline fired, or
     /// the fused execute panicked and its rescue failed too).
     Failed(LfError),
@@ -65,6 +57,9 @@ pub(crate) enum Resolution<T> {
     Solo,
 }
 
+// One slot per member, holding one resolution for one hand-off: boxing
+// the large variant would only add an allocation to every fused member.
+#[allow(clippy::large_enum_variant)]
 enum SlotState<T> {
     Waiting,
     Resolved(Resolution<T>),
@@ -268,7 +263,9 @@ impl<T: Scalar> BatchBoard<T> {
     /// member. `crates/check/tests/lint_rules.rs` runs the lint with
     /// suppressions ignored and asserts the `lock-order` rule
     /// rediscovers this acquisition pair, the same way the model
-    /// checker rediscovers the PR-2 use-after-free.
+    /// checker rediscovers the PR-2 use-after-free. Test builds only:
+    /// the lint reads it in place, production builds never compile it.
+    #[cfg(test)]
     #[allow(dead_code)]
     pub(crate) fn close_reverted(
         &self,
@@ -429,12 +426,15 @@ mod tests {
                 slot: JoinSlot::new(),
             })
             .collect();
-        members[1].slot.resolve(Resolution::Served {
+        members[1].slot.resolve(Resolution::Served(ServeOutcome {
             result: b(2),
             hit: true,
             degraded: false,
+            fingerprint: fp(5),
             compose: None,
-        });
+            serve_wall_s: 0.0,
+            batched: true,
+        }));
         drop(ResolveGuard::new(&members));
         assert!(matches!(
             members[0].slot.wait(Duration::from_secs(1)),
@@ -442,7 +442,7 @@ mod tests {
         ));
         assert!(matches!(
             members[1].slot.wait(Duration::from_secs(1)),
-            Resolution::Served { .. }
+            Resolution::Served(_)
         ));
         assert!(matches!(
             members[2].slot.wait(Duration::from_secs(1)),

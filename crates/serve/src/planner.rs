@@ -13,11 +13,11 @@
 //! re-attempting compositions that keep failing.
 
 use lf_cell::span::effective_partitions;
-use lf_cell::{build_cell, CellConfig};
-use lf_cost::search::optimal_widths_for_matrix;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sparse::{CsrMatrix, FormatFeatures};
-use liteform_core::{LfResult, LiteForm, PreparedPlan, PreprocessProfile, StageStats};
+use liteform_core::{
+    compose_cell, LfResult, LiteForm, PreparedPlan, PreprocessProfile, StageStats,
+};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,20 +105,7 @@ impl<T: AtomicScalar> Planner<T> for FixedCellPlanner {
         // Clamp up front: `p > cols` would otherwise desync the width
         // vector length from the config's partition count.
         let p = effective_partitions(csr.cols(), self.partitions);
-        let (widths, stats) = StageStats::measure(|| {
-            self.tune_widths
-                .then(|| optimal_widths_for_matrix(csr, p, j))
-        });
-        profile.width_search = stats;
-        let config = CellConfig {
-            num_partitions: p,
-            max_widths: widths,
-            block_nnz_multiple: 4,
-            uniform_block_nnz: true,
-        };
-        let (cell, stats) =
-            StageStats::measure(|| build_cell(csr, &config).expect("clamped config is valid"));
-        profile.build = stats;
+        let (config, cell) = compose_cell(csr, p, j, self.tune_widths, &mut profile);
         Ok(PreparedPlan::from_cell(config, cell, profile).with_tuned_j(j))
     }
 
@@ -155,17 +142,7 @@ impl<T: AtomicScalar> Planner<T> for PinnedLiteForm {
             StageStats::measure(|| self.pipeline.selector.predict(&features));
         profile.selection_inference = stats;
         let p = effective_partitions(csr.cols(), self.partitions);
-        let (widths, stats) = StageStats::measure(|| optimal_widths_for_matrix(csr, p, j));
-        profile.width_search = stats;
-        let config = CellConfig {
-            num_partitions: p,
-            max_widths: Some(widths),
-            block_nnz_multiple: 4,
-            uniform_block_nnz: true,
-        };
-        let (cell, stats) =
-            StageStats::measure(|| build_cell(csr, &config).expect("clamped config is valid"));
-        profile.build = stats;
+        let (config, cell) = compose_cell(csr, p, j, true, &mut profile);
         Ok(PreparedPlan::from_cell(config, cell, profile).with_tuned_j(j))
     }
 

@@ -6,7 +6,7 @@
 use lf_serve::{FixedCellPlanner, MatrixHandle, Planner, ServeConfig, ServeEngine};
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
-use liteform_core::{LfResult, PreparedPlan, PreprocessProfile};
+use liteform_core::{LfError, LfResult, PreparedPlan, PreprocessProfile};
 use std::sync::{Arc, Barrier, Mutex};
 
 fn matrix(seed: u64, n: usize, nnz: usize) -> CsrMatrix<f64> {
@@ -116,7 +116,7 @@ fn zero_and_one_width_joiners_ride_along() {
     });
     for (w, got, want) in &results {
         assert_eq!(got.cols(), *w, "member got exactly its own columns back");
-        assert!(got.approx_eq(want, 1e-9), "width-{w} member wrong");
+        assert_eq!(bits(got), bits(want), "width-{w} member wrong");
     }
     let s = engine.stats();
     assert_eq!(s.requests(), widths.len() as u64);
@@ -181,8 +181,9 @@ fn fused_panic_rescues_every_member_individually() {
                 barrier.wait();
                 let out = engine.serve_handle(handle, &b).unwrap();
                 assert!(out.degraded, "thread {t}: rescue must be degraded");
-                assert!(
-                    out.result.approx_eq(&want, 1e-9),
+                assert_eq!(
+                    bits(&out.result),
+                    bits(&want),
                     "thread {t}: rescue must be this member's own product"
                 );
             });
@@ -199,6 +200,79 @@ fn fused_panic_rescues_every_member_individually() {
         "the panicking fused plan is quarantined: {s:?}"
     );
     assert_eq!(s.cached_plans, 0, "no poisoned plan survives: {s:?}");
+    assert_eq!(
+        s.requests(),
+        s.hits + s.misses + s.rejected + s.degraded + s.failed,
+        "ledger identity: {s:?}"
+    );
+}
+
+#[test]
+fn deadline_firing_mid_fused_rescue_fails_every_member_at_execute() {
+    // The coalesced mirror of the engine's solo
+    // `deadline_firing_mid_rescue_is_deadline_exceeded_not_late_output`:
+    // the fused run panics at once, and the leader's shielded reference
+    // rescue (~400 MFLOP on one thread, ~70 ms in a release build) runs
+    // far past every member's 25 ms deadline. Each member must fail with
+    // `DeadlineExceeded` at the execute stage: a rescue that outlived its
+    // member's deadline is discarded, never published as a late degraded
+    // result (a slow debug build may reach the rescue only after the
+    // deadlines fired, and must fail the same way). The matrix is tall
+    // and narrow so the rescue is long while the fused operand stays
+    // small to build.
+    let (rows, cols, j, threads) = (4096, 256, 512, 2usize);
+    let mut rng = Pcg32::seed_from_u64(17);
+    let a: CsrMatrix<f64> = CsrMatrix::from_coo(&mixed_regions(rows, cols, 600_000, 4, &mut rng));
+    let bs: Vec<DenseMatrix<f64>> = (0..threads)
+        .map(|_| DenseMatrix::random(cols, j, &mut rng))
+        .collect();
+    // Pay the one-time tile planning for the fused width before the
+    // clock matters, so the fused run starts well inside the deadline.
+    drop(Planner::<f64>::prepare(&BrokenPlanner, &a, 0).map(|p| p.with_tuned_j(j * threads)));
+    let handle = MatrixHandle::new(a).unwrap();
+    // The cap is the exact fused width, so the leader closes the moment
+    // the last member joins; the 10 ms window fits the 25 ms deadline's
+    // coalescing budget (twice the window).
+    let engine = ServeEngine::new(
+        BrokenPlanner,
+        ServeConfig {
+            deadline_ms: Some(25),
+            ..batching_config(10_000, j * threads)
+        },
+    );
+    // A member the scheduler delays past the window runs solo and fails
+    // the same way; storm again until a fused run has panicked.
+    for _ in 0..5 {
+        let barrier = Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for b in &bs {
+                let (engine, handle, barrier) = (&engine, &handle, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let err = engine.serve_handle(handle, b).unwrap_err();
+                    assert!(
+                        matches!(err, LfError::DeadlineExceeded { stage: "execute" }),
+                        "{err}"
+                    );
+                });
+            }
+        });
+        let s = engine.stats();
+        if s.batched_requests >= 2 && s.quarantined >= 1 {
+            break;
+        }
+    }
+    let s = engine.stats();
+    assert!(
+        s.batched_requests >= 2,
+        "the fused path must have run: {s:?}"
+    );
+    assert!(
+        s.quarantined >= 1,
+        "the panicking plan was quarantined: {s:?}"
+    );
+    assert_eq!(s.failed, s.requests(), "a fired deadline is failed: {s:?}");
+    assert_eq!(s.degraded, 0, "no late rescue was published: {s:?}");
     assert_eq!(
         s.requests(),
         s.hits + s.misses + s.rejected + s.degraded + s.failed,

@@ -5,16 +5,17 @@
 //! panic, allocation failure, forced slow path). This test installs a
 //! seeded [`ChaosPlan`], hammers one engine from many threads with mixed
 //! traffic — hot handles, cold payloads, malformed payloads, shape
-//! mismatches — and asserts the engine's robustness contract *under
-//! fire*:
+//! mismatches — and sends half of the hot-handle traffic through a
+//! second, coalescing engine (so injected execute panics also reach
+//! fused runs), and asserts the robustness contract *under fire*:
 //!
 //! * **no deadlock / no wedge** — the storm completes (workers released
 //!   on every error path, quarantine never holds a lock across compose);
-//! * **no wrong bytes** — every `Ok` result agrees with the sequential
-//!   reference; *degraded* results (fallback plans and post-panic
-//!   rescues both execute baseline CSR row-in-order) are **bitwise**
-//!   equal to it;
-//! * **the ledger balances exactly** —
+//! * **no wrong bytes** — every `Ok` result, clean or degraded, solo or
+//!   fused, is **bitwise** equal to the sequential reference (CELL plans,
+//!   the CSR fallback and the post-panic rescue are all single-writer,
+//!   row-in-order);
+//! * **the ledger balances exactly** on each engine —
 //!   `requests == hits + misses + rejected + degraded + failed`, with
 //!   every thread's every call counted in exactly one class;
 //! * **faults really happened** — ≥ 5 % of requests drew an injection
@@ -55,6 +56,39 @@ fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Client-side outcome tally for one engine, matched against its ledger.
+#[derive(Default)]
+struct Tally {
+    ok_clean: AtomicU64,
+    ok_degraded: AtomicU64,
+    err_rejected: AtomicU64,
+    err_failed: AtomicU64,
+}
+
+impl Tally {
+    fn record(&self, outcome: &Result<bool, LfError>) {
+        let class = match outcome {
+            Ok(true) => &self.ok_degraded,
+            Ok(false) => &self.ok_clean,
+            Err(e) if e.is_rejection() => &self.err_rejected,
+            Err(_) => &self.err_failed,
+        };
+        class.fetch_add(1, Relaxed);
+    }
+
+    fn sent(&self) -> u64 {
+        [
+            &self.ok_clean,
+            &self.ok_degraded,
+            &self.err_rejected,
+            &self.err_failed,
+        ]
+        .iter()
+        .map(|c| c.load(Relaxed))
+        .sum()
+    }
+}
+
 #[test]
 fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
     let seed = env_or("LF_CHAOS_SEED", 0x00C0_FFEE);
@@ -65,27 +99,48 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
     lf_sim::pool::global();
     let workers_before = lf_sim::pool::workers_spawned_total();
 
+    let config = ServeConfig {
+        shards: 4,
+        byte_budget: 64 << 20,
+        ..ServeConfig::default()
+    };
     let engine = ServeEngine::new(
         ResilientPlanner::new(FixedCellPlanner::tuned(4)),
+        config.clone(),
+    );
+    // The coalescing leg: a second engine that fuses concurrent requests
+    // on one handle, so injected execute panics also hit fused runs and
+    // their per-member rescues.
+    let coalescing = ServeEngine::new(
+        ResilientPlanner::new(FixedCellPlanner::tuned(4)),
         ServeConfig {
-            shards: 4,
-            byte_budget: 64 << 20,
-            ..ServeConfig::default()
+            batch_window_us: 2_000,
+            ..config
         },
     );
+    let engines = [(&engine, Tally::default()), (&coalescing, Tally::default())];
 
     // Hot set: warmed *before* faults are armed so the storm starts from
     // a healthy cache (the injected execute panics then exercise the
-    // quarantine + re-admission cycle on it).
-    let hot: Vec<(MatrixHandle<f64>, DenseMatrix<f64>, DenseMatrix<f64>)> = (0..4u64)
+    // quarantine + re-admission cycle on it). Each handle has a few
+    // operands, so a fused group mixes members with distinct results.
+    type Operands = Vec<(DenseMatrix<f64>, DenseMatrix<f64>)>;
+    let hot: Vec<(MatrixHandle<f64>, Operands)> = (0..4u64)
         .map(|s| {
             let a = matrix(0x7000 + s, n, 3000);
             let mut rng = Pcg32::seed_from_u64(0x8000 + s);
-            let b = DenseMatrix::random(n, j, &mut rng);
-            let want = a.spmm_reference(&b).unwrap();
+            let operands = (0..3)
+                .map(|_| {
+                    let b = DenseMatrix::random(n, j, &mut rng);
+                    let want = a.spmm_reference(&b).unwrap();
+                    (b, want)
+                })
+                .collect();
             let h = MatrixHandle::new(a).unwrap();
-            engine.warm(&h, j).unwrap();
-            (h, b, want)
+            for (e, _) in &engines {
+                e.warm(&h, j).unwrap();
+            }
+            (h, operands)
         })
         .collect();
 
@@ -94,42 +149,41 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
     chaos::install(ChaosPlan::uniform(seed, 100));
 
     let sent = AtomicU64::new(0);
-    let ok_clean = AtomicU64::new(0);
-    let ok_degraded = AtomicU64::new(0);
-    let err_rejected = AtomicU64::new(0);
-    let err_failed = AtomicU64::new(0);
+    let ok_batched = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let engine = &engine;
-            let hot = &hot;
-            let (sent, ok_clean, ok_degraded, err_rejected, err_failed) =
-                (&sent, &ok_clean, &ok_degraded, &err_rejected, &err_failed);
+            let (engines, engine, hot, sent, ok_batched) =
+                (&engines, &engine, &hot, &sent, &ok_batched);
             scope.spawn(move || {
                 let mut rng = Pcg32::seed_from_u64(seed ^ (0xAB1E + t as u64));
                 for i in 0..iters {
                     sent.fetch_add(1, Relaxed);
                     let draw = rng.usize_in(0, 100);
-                    let outcome = if draw < 50 {
+                    // Every `Ok` result — clean CELL, degraded CSR
+                    // fallback, post-panic rescue, fused or solo — comes
+                    // from a single-writer kernel and must equal the
+                    // sequential reference bit for bit.
+                    let (leg, outcome) = if draw < 50 {
                         // Hot handle: mostly hits; injected execute
                         // panics quarantine the plan and rescue the
-                        // request.
-                        let (h, b, want) = &hot[rng.usize_in(0, hot.len())];
-                        engine.serve_handle(h, b).map(|out| {
-                            if out.degraded {
-                                assert_eq!(
-                                    bits(&out.result),
-                                    bits(want),
-                                    "thread {t} iter {i}: degraded hot result not bitwise-exact"
-                                );
-                            } else {
-                                assert!(
-                                    out.result.approx_eq(want, 1e-9),
-                                    "thread {t} iter {i}: wrong hot result"
-                                );
+                        // request. Half of this traffic goes through
+                        // the coalescing engine.
+                        let leg = usize::from(draw < 25);
+                        let (h, operands) = &hot[rng.usize_in(0, hot.len())];
+                        let (b, want) = &operands[rng.usize_in(0, operands.len())];
+                        let outcome = engines[leg].0.serve_handle(h, b).map(|out| {
+                            assert_eq!(
+                                bits(&out.result),
+                                bits(want),
+                                "thread {t} iter {i}: wrong hot result"
+                            );
+                            if out.batched {
+                                ok_batched.fetch_add(1, Relaxed);
                             }
                             out.degraded
-                        })
+                        });
+                        (leg, outcome)
                     } else if draw < 75 {
                         // Cold payload, verified in-thread; injected
                         // compose faults degrade to baseline CSR.
@@ -137,21 +191,15 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
                         let mut brng = Pcg32::seed_from_u64(0xB0B0 + (t * iters + i) as u64);
                         let b = DenseMatrix::random(n, j, &mut brng);
                         let want = a.spmm_reference(&b).unwrap();
-                        engine.serve(&a, &b).map(|out| {
-                            if out.degraded {
-                                assert_eq!(
-                                    bits(&out.result),
-                                    bits(&want),
-                                    "thread {t} iter {i}: degraded cold result not bitwise-exact"
-                                );
-                            } else {
-                                assert!(
-                                    out.result.approx_eq(&want, 1e-9),
-                                    "thread {t} iter {i}: wrong cold result"
-                                );
-                            }
+                        let outcome = engine.serve(&a, &b).map(|out| {
+                            assert_eq!(
+                                bits(&out.result),
+                                bits(&want),
+                                "thread {t} iter {i}: wrong cold result"
+                            );
                             out.degraded
-                        })
+                        });
+                        (0, outcome)
                     } else if draw < 90 {
                         // Hostile payload: must be a typed rejection.
                         let case = fuzz_case::<f64>(
@@ -165,23 +213,18 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
                             matches!(err, LfError::InvalidInput(_)),
                             "thread {t} iter {i}: wrong rejection class: {err}"
                         );
-                        Err(err)
+                        (0, Err(err))
                     } else {
                         // Shape mismatch: typed rejection, pre-admission.
-                        let (h, _, _) = &hot[0];
+                        let (h, _) = &hot[0];
                         let bad = DenseMatrix::<f64>::zeros(n / 2, j);
                         let err = engine
                             .serve_handle(h, &bad)
                             .expect_err("shape mismatch must be rejected");
                         assert!(err.is_rejection(), "{err}");
-                        Err(err)
+                        (0, Err(err))
                     };
-                    match outcome {
-                        Ok(true) => ok_degraded.fetch_add(1, Relaxed),
-                        Ok(false) => ok_clean.fetch_add(1, Relaxed),
-                        Err(ref e) if e.is_rejection() => err_rejected.fetch_add(1, Relaxed),
-                        Err(_) => err_failed.fetch_add(1, Relaxed),
-                    };
+                    engines[leg].1.record(&outcome);
                 }
             });
         }
@@ -190,24 +233,39 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
 
     let total = sent.load(Relaxed);
     assert_eq!(total, (threads * iters) as u64);
-    let s = engine.stats();
 
-    // The exact outcome ledger: engine-side classes match the
-    // client-side tallies, and the identity holds with no slack.
-    assert_eq!(
-        s.requests(),
-        s.hits + s.misses + s.rejected + s.degraded + s.failed,
-        "ledger identity: {s:?}"
-    );
-    assert_eq!(s.requests(), total, "every request counted once: {s:?}");
-    assert_eq!(
-        s.hits + s.misses,
-        ok_clean.load(Relaxed),
-        "clean outcomes: {s:?}"
-    );
-    assert_eq!(s.degraded, ok_degraded.load(Relaxed), "degraded: {s:?}");
-    assert_eq!(s.rejected, err_rejected.load(Relaxed), "rejected: {s:?}");
-    assert_eq!(s.failed, err_failed.load(Relaxed), "failed: {s:?}");
+    // The exact outcome ledger, per engine: engine-side classes match
+    // the client-side tallies, and the identity holds with no slack.
+    for (e, tally) in &engines {
+        let s = e.stats();
+        assert_eq!(
+            s.requests(),
+            s.hits + s.misses + s.rejected + s.degraded + s.failed,
+            "ledger identity: {s:?}"
+        );
+        assert_eq!(
+            s.requests(),
+            tally.sent(),
+            "every request counted once: {s:?}"
+        );
+        assert_eq!(
+            s.hits + s.misses,
+            tally.ok_clean.load(Relaxed),
+            "clean outcomes: {s:?}"
+        );
+        assert_eq!(
+            s.degraded,
+            tally.ok_degraded.load(Relaxed),
+            "degraded: {s:?}"
+        );
+        assert_eq!(
+            s.rejected,
+            tally.err_rejected.load(Relaxed),
+            "rejected: {s:?}"
+        );
+        assert_eq!(s.failed, tally.err_failed.load(Relaxed), "failed: {s:?}");
+    }
+    assert_eq!(engines.iter().map(|(_, t)| t.sent()).sum::<u64>(), total);
 
     // Faults demonstrably happened: ≥ 5% of requests drew an injection
     // (achieved counts, not nominal rate), and both degradation
@@ -217,6 +275,7 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
         injected * 20 >= total,
         "only {injected} injections across {total} requests"
     );
+    let s = engine.stats();
     assert!(s.degraded > 0, "no request degraded: {s:?}");
     assert!(
         s.quarantined > 0,
@@ -227,6 +286,14 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
         "no compose-side downgrade: {s:?}"
     );
     assert!(s.rejected > 0 && s.hits > 0 && s.misses > 0, "{s:?}");
+    // The coalescing leg fused requests, and injected execute panics
+    // reached it.
+    let cs = coalescing.stats();
+    assert!(
+        cs.batches > 0 && ok_batched.load(Relaxed) > 0,
+        "the coalescing leg never fused: {cs:?}"
+    );
+    assert!(cs.quarantined > 0, "no coalescing-leg quarantine: {cs:?}");
 
     // The storm — panics, rescues, quarantines and all — spawned no
     // threads beyond the shared pool.

@@ -36,7 +36,7 @@
 //! `tests/model_pool.rs` explores its thread interleavings exhaustively
 //! (bounded), including panicking bodies, and proves the [`Job::alive`]
 //! liveness witness is never violated. [`ThreadPool::broadcast_reverted`]
-//! (feature-gated) re-creates the pre-review protocol without the drop
+//! (test and `check` builds only) re-creates the pre-review protocol without the drop
 //! guard, whose submitter-panic use-after-free the checker re-discovers.
 
 use crate::sync::{thread, AtomicBool, AtomicUsize, Condvar, Mutex, MutexGuard};
@@ -259,7 +259,7 @@ impl ThreadPool {
     /// dereferences the dead frame's closure — the exact use-after-free
     /// the PR-2 review caught. `tests/model_pool.rs` asserts the checker
     /// re-discovers it.
-    #[cfg(feature = "check")]
+    #[cfg(any(test, feature = "check"))]
     pub fn broadcast_reverted(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
         let helpers = helpers.min(self.handles.len());
         if helpers == 0 {

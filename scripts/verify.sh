@@ -42,9 +42,12 @@
 #   --chaos   appends the fault-injection tier: the serving storm with
 #             seeded chaos sites armed (compose/execute panics, alloc
 #             failures, forced slow paths) at 16 threads x 200
-#             iterations per thread, release mode, across three seeds —
-#             asserting no deadlocks, no wrong bytes, the exact outcome
-#             ledger, and an achieved fault rate of >= 5% of requests —
+#             iterations per thread, release mode, across three seeds,
+#             half the hot-handle traffic through a coalescing engine so
+#             injected execute panics also hit fused runs — asserting no
+#             deadlocks, no wrong bytes (bitwise), the exact outcome
+#             ledger per engine, and an achieved fault rate of >= 5% of
+#             requests —
 #             the plan-store kill-and-restart scenarios (torn demotion,
 #             torn manifest, aborted warm) asserting recovery never
 #             serves wrong bytes, and the mid-update kill scenarios
