@@ -19,10 +19,9 @@
 //! exits non-zero if a cache hit fails to beat a cold serve at all.
 
 use lf_bench::{fmt, write_json, Table};
-use lf_serve::{MatrixHandle, PinnedLiteForm, ServeConfig, ServeEngine, ServeStats};
+use lf_serve::{FixedCellPlanner, MatrixHandle, ServeConfig, ServeEngine, ServeStats};
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
-use liteform_core::{LiteForm, ModelBundle};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -144,17 +143,9 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
 
-    // The planner is the trained pipeline (the checked-in bundle the
-    // other benches use) with the partition count pinned per row: a cold
-    // compose pays feature extraction, selector inference, the
-    // Algorithm-3 width search, and CELL construction.
-    let pipeline: LiteForm = ModelBundle::load(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/liteform-models.json"
-    ))
-    .expect("checked-in model bundle must load")
-    .into_liteform();
-
+    // The planner composes tuned CELL at the partition count of each
+    // row: a cold compose pays the Algorithm-3 width search and CELL
+    // construction.
     // --- Cold compose+run vs cache-hit serve, p in {4, 16, 32} --------
     // Cold is a first-contact request: the matrix arrives as a raw CSR
     // payload, so the engine fingerprints it (one O(nnz) pass), composes,
@@ -167,11 +158,7 @@ fn main() {
     let mut t = Table::new(&["serve", "cold_ms", "hit_ms", "hit_payload_ms", "speedup"]);
     let mut min_speedup = f64::INFINITY;
     for p in [4usize, 16, 32] {
-        let planner = PinnedLiteForm {
-            pipeline: pipeline.clone(),
-            partitions: p,
-        };
-        let engine = ServeEngine::new(planner, ServeConfig::default());
+        let engine = ServeEngine::new(FixedCellPlanner::tuned(p), ServeConfig::default());
         let cold_ms = time_ms(reps, || {
             engine.clear(); // every rep composes from scratch
             engine.serve(&csr, &b).unwrap();
@@ -214,13 +201,7 @@ fn main() {
     // --- Concurrent throughput: 8 threads, 4 warmed handles ----------
     let threads = 8usize;
     let iters = if quick { 8 } else { 20 };
-    let engine = ServeEngine::new(
-        PinnedLiteForm {
-            pipeline: pipeline.clone(),
-            partitions: 16,
-        },
-        ServeConfig::default(),
-    );
+    let engine = ServeEngine::new(FixedCellPlanner::tuned(16), ServeConfig::default());
     let hot: Vec<MatrixHandle<f32>> = (0..4u64)
         .map(|s| {
             let mut r = Pcg32::seed_from_u64(100 + s);
@@ -298,10 +279,7 @@ fn main() {
         .collect();
     let run_workload = |window_us: u64| -> (f64, ServeStats) {
         let engine = ServeEngine::new(
-            PinnedLiteForm {
-                pipeline: pipeline.clone(),
-                partitions: 16,
-            },
+            FixedCellPlanner::tuned(16),
             ServeConfig {
                 batch_window_us: window_us,
                 // The cap equals the fused width, so a full group closes
@@ -383,38 +361,20 @@ fn main() {
     };
     {
         // Previous life: compose the working set, snapshot, "die".
-        let engine = ServeEngine::new(
-            PinnedLiteForm {
-                pipeline: pipeline.clone(),
-                partitions: 16,
-            },
-            store_config.clone(),
-        );
+        let engine = ServeEngine::new(FixedCellPlanner::tuned(16), store_config.clone());
         for m in &wr_matrices {
             engine.serve(m, &b).unwrap();
         }
         engine.snapshot().expect("snapshot must persist the cache");
     }
-    let cold_engine = ServeEngine::new(
-        PinnedLiteForm {
-            pipeline: pipeline.clone(),
-            partitions: 16,
-        },
-        ServeConfig::default(),
-    );
+    let cold_engine = ServeEngine::new(FixedCellPlanner::tuned(16), ServeConfig::default());
     let cold_start_ms = time_ms(reps, || {
         cold_engine.clear(); // every rep is a fresh cold-start storm
         for m in &wr_matrices {
             cold_engine.serve(m, &b).unwrap();
         }
     });
-    let warmed_engine = ServeEngine::new(
-        PinnedLiteForm {
-            pipeline: pipeline.clone(),
-            partitions: 16,
-        },
-        store_config,
-    );
+    let warmed_engine = ServeEngine::new(FixedCellPlanner::tuned(16), store_config);
     let warm_loaded = warmed_engine.stats().warm_loaded;
     // Like the hit timings above: warmed first requests are an order of
     // magnitude cheaper than the cold storm, so best-of needs more reps

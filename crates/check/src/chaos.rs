@@ -41,38 +41,34 @@ pub enum ChaosSite {
     /// A scratch/plan allocation fails (models memory pressure;
     /// surfaced as a typed `ResourceExhausted`).
     AllocFail = 2,
-    /// Composition is forced onto the slow path past its budget (models
-    /// a pathological matrix; the engine must degrade, not stall).
-    SlowPath = 3,
     /// The process "dies" mid-way through writing a demoted plan record
     /// to the disk tier: the temp file is left torn, never renamed.
-    DemoteTorn = 4,
+    DemoteTorn = 3,
     /// The process "dies" mid-way through rewriting the store manifest:
     /// the temp manifest is left torn, the old one stays in place.
-    ManifestTorn = 5,
+    ManifestTorn = 4,
     /// Startup cache warming aborts part-way (models a crash during
     /// recovery itself; the next restart must still come up clean).
-    WarmAbort = 6,
+    WarmAbort = 5,
     /// A delta batch "dies" after validating but before committing the
     /// new epoch: the handle must stay on the old epoch, bitwise intact,
     /// and every plan it retires must still be retired later.
-    UpdateTorn = 7,
+    UpdateTorn = 6,
     /// The RAM sweep of retired-epoch plans aborts part-way: some stale
     /// entries survive in cache and must stay unreachable until a later
     /// sweep retires them.
-    EpochSweepAbort = 8,
+    EpochSweepAbort = 7,
     /// Disk invalidation of a retired epoch is skipped: the stale record
     /// stays on disk and must be refused (or ignored) on every future
     /// read, never served against the new epoch.
-    StaleDiskRecord = 9,
+    StaleDiskRecord = 8,
 }
 
 /// All sites, for iteration in harnesses and reports.
-pub const CHAOS_SITES: [ChaosSite; 10] = [
+pub const CHAOS_SITES: [ChaosSite; 9] = [
     ChaosSite::ComposePanic,
     ChaosSite::ExecutePanic,
     ChaosSite::AllocFail,
-    ChaosSite::SlowPath,
     ChaosSite::DemoteTorn,
     ChaosSite::ManifestTorn,
     ChaosSite::WarmAbort,
@@ -88,7 +84,6 @@ impl ChaosSite {
             ChaosSite::ComposePanic => "compose_panic",
             ChaosSite::ExecutePanic => "execute_panic",
             ChaosSite::AllocFail => "alloc_fail",
-            ChaosSite::SlowPath => "slow_path",
             ChaosSite::DemoteTorn => "demote_torn",
             ChaosSite::ManifestTorn => "manifest_torn",
             ChaosSite::WarmAbort => "warm_abort",
@@ -105,7 +100,6 @@ impl ChaosSite {
             0xa076_1d64_78bd_642f,
             0xe703_7ed1_a0b4_28db,
             0x8ebc_6af0_9c88_c6e3,
-            0x5899_65cc_7537_4cc3,
             0x1d8e_4e27_c47d_124f,
             0xeb44_accb_917f_9e91,
             0x9c6e_6877_736c_46e3,
@@ -124,7 +118,7 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// Injection rate per site, in per-mille (0..=1000), indexed by
     /// `ChaosSite as usize`.
-    pub permille: [u16; 10],
+    pub permille: [u16; 9],
 }
 
 impl ChaosPlan {
@@ -132,7 +126,7 @@ impl ChaosPlan {
     pub fn disabled(seed: u64) -> Self {
         ChaosPlan {
             seed,
-            permille: [0; 10],
+            permille: [0; 9],
         }
     }
 
@@ -140,7 +134,7 @@ impl ChaosPlan {
     pub fn uniform(seed: u64, permille: u16) -> Self {
         ChaosPlan {
             seed,
-            permille: [permille; 10],
+            permille: [permille; 9],
         }
     }
 
@@ -155,8 +149,8 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: Mutex<Option<ChaosPlan>> = Mutex::new(None);
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static DECISIONS: [AtomicU64; 10] = [ZERO; 10];
-static INJECTED: [AtomicU64; 10] = [ZERO; 10];
+static DECISIONS: [AtomicU64; 9] = [ZERO; 9];
+static INJECTED: [AtomicU64; 9] = [ZERO; 9];
 
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -284,7 +278,7 @@ mod tests {
         let mut others = 0u64;
         for _ in 0..200 {
             assert!(!decide(ChaosSite::ExecutePanic));
-            if decide(ChaosSite::SlowPath) {
+            if decide(ChaosSite::ManifestTorn) {
                 others += 1;
             }
         }
@@ -293,7 +287,7 @@ mod tests {
 
         // Counters survive reset for post-run assertions.
         reset();
-        assert_eq!(injected(ChaosSite::SlowPath), others);
-        assert!(!decide(ChaosSite::SlowPath));
+        assert_eq!(injected(ChaosSite::ManifestTorn), others);
+        assert!(!decide(ChaosSite::ManifestTorn));
     }
 }

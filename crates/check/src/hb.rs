@@ -256,25 +256,6 @@ pub fn on_atomic_store(id: usize, order: Ordering) {
     });
 }
 
-/// Combined hook for an atomic read-modify-write at location `id`.
-/// The shims prefer the split form — [`on_atomic_store`] *before* the
-/// operation, [`on_atomic_load`] after — so a concurrent loader that
-/// observes the new value is guaranteed to observe the publish too;
-/// this single-call variant is for instrumentation points where the
-/// operation cannot be bracketed.
-pub fn on_atomic_rmw(id: usize, set_order: Ordering, fetch_order: Ordering) {
-    on_atomic_load(id, fetch_order);
-    // An RMW's success ordering covers the store side too.
-    on_atomic_store(
-        id,
-        if is_release(set_order) {
-            set_order
-        } else {
-            fetch_order
-        },
-    );
-}
-
 /// Spawn/join plumbing shared between a parent and its child thread:
 /// carries the parent's clock into the child and the child's exit
 /// clock back to the joiner. All methods are no-ops outside a session.

@@ -31,7 +31,6 @@ pub const LEDGER_CLASSES: &[(&str, &str)] = &[
     ("InvalidInput", "rejected"),
     ("Overloaded", "rejected"),
     ("DeadlineExceeded", "failed"),
-    ("ComposePanicked", "failed"),
     ("ExecutePanicked", "failed"),
     ("ResourceExhausted", "failed"),
     ("PlanDecode", "failed"),

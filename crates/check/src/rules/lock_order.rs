@@ -4,7 +4,7 @@
 //! The serving stack's deadlock-freedom argument (PR 5/6) is a total
 //! order: `BatchBoard.open` → `BatchGroup.state` → `JoinSlot.state`,
 //! with the matrix-handle `RwLock`, the cache shards, the plan store,
-//! and the planner's breaker map as *leaf* locks (nothing may be
+//! and the engine's breaker map as *leaf* locks (nothing may be
 //! acquired while holding one), and the thread-pool job mutexes never
 //! nested under any serving lock. The bounded model checker proves
 //! specific interleavings; this rule proves the *shape*, statically,
@@ -76,7 +76,7 @@ const STORE: LockClass = LockClass {
     leaf: true,
 };
 const BREAKER: LockClass = LockClass {
-    name: "planner breaker",
+    name: "engine breaker",
     level: 48,
     leaf: true,
 };

@@ -41,11 +41,6 @@ fn current_model() -> Option<(Arc<ExecShared>, usize)> {
     })
 }
 
-/// `true` while the calling thread runs inside an active model run.
-pub fn model_active() -> bool {
-    current_model().is_some()
-}
-
 /// An explicit interleaving point: under a model, hands the baton to the
 /// scheduler; otherwise a plain `std::thread::yield_now`.
 pub fn yield_now() {

@@ -7,7 +7,6 @@ pub enum LfError {
     InvalidInput { detail: String },
     Overloaded { queue_depth: usize },
     DeadlineExceeded { waited_ms: u64 },
-    ComposePanicked { fingerprint: String },
     ExecutePanicked { fingerprint: String },
     ResourceExhausted { bytes: usize },
     PlanDecode { detail: String },

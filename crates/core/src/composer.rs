@@ -309,8 +309,7 @@ impl<T: AtomicScalar> std::fmt::Debug for PreparedPlan<T> {
 }
 
 /// The CELL tail of every composition: the Algorithm-3 bucket-width
-/// search over `p` column partitions (skipped when `tune_widths` is
-/// `false`, leaving natural widths), then construction with uniform
+/// search over `p` column partitions, then construction with uniform
 /// block sizes in multiples of 4 nonzeros. Each step is timed into
 /// `profile` (`width_search`, `build`). `p` must already be clamped to
 /// `1..=cols`.
@@ -318,11 +317,9 @@ pub fn compose_cell<T: AtomicScalar>(
     csr: &CsrMatrix<T>,
     p: usize,
     j: usize,
-    tune_widths: bool,
     profile: &mut PreprocessProfile,
 ) -> (CellConfig, CellMatrix<T>) {
-    let (max_widths, stats) =
-        StageStats::measure(|| tune_widths.then(|| optimal_widths_for_matrix(csr, p, j)));
+    let (max_widths, stats) = StageStats::measure(|| Some(optimal_widths_for_matrix(csr, p, j)));
     profile.width_search = stats;
     let config = CellConfig {
         num_partitions: p,
@@ -396,7 +393,7 @@ impl LiteForm {
         profile.partition_inference = stats;
 
         // 4–5. Bucket widths per partition (Algorithm 3), materialize.
-        let (config, cell) = compose_cell(csr, p, j, true, &mut profile);
+        let (config, cell) = compose_cell(csr, p, j, &mut profile);
         CompositionPlan {
             kind: PlanKind::Cell { config, cell },
             profile,

@@ -15,10 +15,12 @@
 //! * **Deadline failures** ([`LfError::DeadlineExceeded`]) mean the
 //!   cooperative cancellation token fired: partial results are
 //!   discarded, never served.
-//! * **Contained panics** ([`LfError::ComposePanicked`],
-//!   [`LfError::ExecutePanicked`]) are unwinds caught at the request
-//!   boundary. The request fails (or degrades); the process, the worker
-//!   pool, and every other in-flight request keep going.
+//! * **Contained panics** ([`LfError::ExecutePanicked`]) are unwinds
+//!   caught at the request boundary whose reference rescue also failed.
+//!   The request fails; the process, the worker pool, and every other
+//!   in-flight request keep going. (A composition that panics never
+//!   surfaces as an error: the serving engine degrades it to a baseline
+//!   CSR plan.)
 //! * **Resource failures** ([`LfError::ResourceExhausted`]) are
 //!   injectable allocation/capacity failures surfaced as typed errors
 //!   instead of aborts.
@@ -50,12 +52,6 @@ pub enum LfError {
         /// Which stage observed the expiry.
         stage: &'static str,
     },
-    /// Plan composition panicked; the unwind was caught at the request
-    /// boundary.
-    ComposePanicked {
-        /// Stringified panic payload.
-        detail: String,
-    },
     /// Plan execution panicked; the unwind was caught at the request
     /// boundary (and the offending cached plan quarantined).
     ExecutePanicked {
@@ -82,7 +78,6 @@ impl LfError {
             LfError::InvalidInput(_) => "invalid_input",
             LfError::Overloaded { .. } => "overloaded",
             LfError::DeadlineExceeded { .. } => "deadline_exceeded",
-            LfError::ComposePanicked { .. } => "compose_panicked",
             LfError::ExecutePanicked { .. } => "execute_panicked",
             LfError::ResourceExhausted { .. } => "resource_exhausted",
             LfError::PlanDecode(_) => "plan_decode",
@@ -109,9 +104,6 @@ impl fmt::Display for LfError {
             LfError::DeadlineExceeded { stage } => {
                 write!(f, "deadline exceeded during {stage}")
             }
-            LfError::ComposePanicked { detail } => {
-                write!(f, "composition panicked: {detail}")
-            }
             LfError::ExecutePanicked { detail } => {
                 write!(f, "execution panicked: {detail}")
             }
@@ -128,7 +120,6 @@ impl std::error::Error for LfError {
             LfError::PlanDecode(e) => Some(e),
             LfError::Overloaded { .. }
             | LfError::DeadlineExceeded { .. }
-            | LfError::ComposePanicked { .. }
             | LfError::ExecutePanicked { .. }
             | LfError::ResourceExhausted { .. } => None,
         }
@@ -182,17 +173,11 @@ mod tests {
         assert!(!e.is_rejection());
         assert_eq!(e.code(), "deadline_exceeded");
 
-        for e in [
-            LfError::ComposePanicked {
-                detail: "boom".into(),
-            },
-            LfError::ExecutePanicked {
-                detail: "boom".into(),
-            },
-        ] {
-            assert!(e.to_string().contains("boom"));
-            assert!(!e.is_rejection());
-        }
+        let e = LfError::ExecutePanicked {
+            detail: "boom".into(),
+        };
+        assert!(e.to_string().contains("boom"));
+        assert!(!e.is_rejection());
     }
 
     #[test]

@@ -27,3 +27,13 @@ pub use partition::{optimal_partitions, PARTITION_CANDIDATES};
 pub use search::{build_buckets, exhaustive_best_width, tune_width};
 pub use tile::{plan_tile, predict_tile_ns, search_tile, tile_cache_stats, TileFeatures};
 pub use update::{churn_cache_stats, churn_threshold, should_rebuild};
+
+/// Serializes the unit tests that go through the memoized tile and
+/// churn caches: their hit/miss counters are process-global, so a
+/// sibling's miss landing between two reads would otherwise break a
+/// counting assertion.
+#[cfg(test)]
+fn cache_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -194,6 +194,7 @@ pub fn plan_tile(features: TileFeatures, j: usize) -> TileParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_gate;
 
     #[test]
     fn features_quantize_to_families() {
@@ -208,6 +209,7 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_do_not_panic() {
+        let _gate = cache_gate();
         for (rows, nnz) in [(0, 0), (1, 0), (1, 1), (7, 3)] {
             let f = TileFeatures::new(rows, nnz, 8);
             let (p, ns) = search_tile(f, 1);
@@ -249,6 +251,7 @@ mod tests {
     #[test]
     fn cache_hits_after_first_plan() {
         let f = TileFeatures::new(2048, 30_000, 4);
+        let _gate = cache_gate();
         let first = plan_tile(f, 96);
         let (_, m0) = tile_cache_stats();
         let second = plan_tile(f, 96);

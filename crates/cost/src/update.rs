@@ -6,21 +6,26 @@
 //! of the matrix while [`build_cell`](lf_cell::build_cell) amortizes
 //! its sweep across the worker pool. Somewhere in between sits a
 //! crossover; this module predicts it from the machine's measured
-//! [`calibration`] constants and memoizes the resulting *churn
-//! threshold* (touched-row count above which rebuilding is predicted
-//! cheaper) per matrix family — the same probe-once-then-cache
-//! discipline as [`plan_tile`](crate::tile::plan_tile).
+//! [`calibration`] constants plus one measured per-nonzero CELL build
+//! cost, and memoizes the resulting *churn threshold* (touched-row
+//! count above which rebuilding is predicted cheaper) per matrix
+//! family — the same probe-once-then-cache discipline as
+//! [`plan_tile`](crate::tile::plan_tile).
 //!
 //! Like every `lf-cost` prediction, the numbers only *rank* the two
 //! strategies; correctness never depends on them (both paths produce
 //! bitwise-identical CELLs).
 
 use crate::tile::TileFeatures;
+use lf_cell::build::workers_for;
+use lf_cell::{build_cell, CellConfig};
 use lf_sim::calibration;
-use lf_sim::parallel::default_workers;
+use lf_sparse::gen::mixed_regions;
+use lf_sparse::{CsrMatrix, Pcg32};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 static CACHE: Mutex<Option<HashMap<TileFeatures, usize>>> = Mutex::new(None);
 static HITS: AtomicUsize = AtomicUsize::new(0);
@@ -48,28 +53,54 @@ fn buckets_of(f: TileFeatures) -> f64 {
     (f.avg_nnz_log2 + 2) as f64
 }
 
-/// Predicted nanoseconds for a from-scratch `build_cell`: a parallel
-/// binning sweep plus materialization touches every non-zero about
-/// four times (segment split, fragment bookkeeping, column and value
-/// copy), amortized over the pool, plus one region dispatch.
+/// Measured nanoseconds per non-zero of a single-threaded
+/// [`build_cell`]: best of five builds of a fixed probe small enough
+/// that the builder runs on the calling thread. Timed once per process.
+/// Building is far more than copying — segment split, width binning,
+/// fragment bookkeeping, padded block layout — so a model in copy
+/// units undercounts it by an order of magnitude.
+fn build_ns_per_nnz() -> f64 {
+    static NS: OnceLock<f64> = OnceLock::new();
+    *NS.get_or_init(|| {
+        let mut rng = Pcg32::seed_from_u64(0xB11D);
+        let csr: CsrMatrix<f64> = CsrMatrix::from_coo(&mixed_regions(512, 512, 6000, 4, &mut rng));
+        let config = CellConfig::with_partitions(4);
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            drop(build_cell(&csr, &config));
+            best = best.min(t0.elapsed().as_nanos() as f64);
+        }
+        (best / csr.nnz().max(1) as f64).clamp(0.5, 1e3)
+    })
+}
+
+/// Predicted nanoseconds for a from-scratch `build_cell`: every
+/// non-zero at the measured build cost, split across the workers the
+/// builder uses for this size (one below its parallel cutoff), plus
+/// one region dispatch.
 pub fn predict_rebuild_ns(f: TileFeatures) -> f64 {
-    let cal = calibration();
-    let work = nnz_of(f) * 4.0 * cal.copy_ns;
-    cal.pool_dispatch_ns + work / default_workers() as f64
+    let nnz = nnz_of(f);
+    let work = nnz * build_ns_per_nnz();
+    calibration().pool_dispatch_ns + work / workers_for(nnz as usize) as f64
 }
 
 /// Predicted nanoseconds for `update_cell` with `touched` distinct
-/// touched rows: each touched row re-materializes its fragments, and
-/// every affected bucket (at most two per touched row — the width it
-/// left and the width it joined — capped by the bucket count) is
-/// rewritten serially, slot by slot.
+/// touched rows: each touched row re-materializes its fragments
+/// serially, at the builder's per-non-zero cost, and the untouched
+/// slots of every affected bucket (at most two per touched row — the
+/// width it left and the width it joined — capped by the bucket count)
+/// are moved, slot by slot.
 pub fn predict_update_ns(f: TileFeatures, touched: usize) -> f64 {
     let cal = calibration();
+    let rows = rows_of(f).max(1) as f64;
+    let touched = (touched as f64).min(rows);
     let avg_len = (1usize << f.avg_nnz_log2) as f64;
-    let rematerialize = touched as f64 * avg_len * 2.0 * cal.copy_ns;
+    let rematerialize = touched * avg_len * build_ns_per_nnz();
     let buckets = buckets_of(f);
-    let affected = (2.0 * touched as f64).min(buckets) / buckets;
-    let splice = affected * nnz_of(f) * 2.0 * cal.copy_ns;
+    let affected = (2.0 * touched).min(buckets) / buckets;
+    let untouched = 1.0 - touched / rows;
+    let splice = affected * untouched * nnz_of(f) * 2.0 * cal.copy_ns;
     rematerialize + splice
 }
 
@@ -122,6 +153,7 @@ pub fn should_rebuild(f: TileFeatures, touched: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_gate;
 
     #[test]
     fn update_cost_is_monotone_in_touched_rows() {
@@ -150,23 +182,27 @@ mod tests {
 
     #[test]
     fn tiny_matrices_never_rebuild() {
-        // A rebuild pays the pool dispatch; for a matrix whose whole
-        // storage costs less to copy than one dispatch, the threshold
-        // must land at the row count (incremental always wins).
+        // Below the builder's parallel cutoff a rebuild runs on one
+        // thread and pays the pool dispatch; rewriting even every row
+        // costs no more than the build itself, so the threshold must
+        // land at the row count (incremental always wins).
         let f = TileFeatures::new(256, 4096, 8);
         assert_eq!(search_churn_threshold(f), 256);
+        let _gate = cache_gate();
         assert!(!should_rebuild(f, 255));
     }
 
     #[test]
     fn heavy_churn_on_large_matrices_rebuilds() {
         let f = TileFeatures::new(1 << 20, 1 << 24, 8);
+        let _gate = cache_gate();
         assert!(should_rebuild(f, 1 << 20), "full-matrix churn must rebuild");
     }
 
     #[test]
     fn cache_hits_after_first_search() {
         let f = TileFeatures::new(1 << 13, 1 << 16, 4);
+        let _gate = cache_gate();
         let first = churn_threshold(f);
         let (_, m0) = churn_cache_stats();
         let second = churn_threshold(f);

@@ -85,6 +85,31 @@ fn tile_plan_cache_hit_is_alloc_free() {
     );
 }
 
+/// Every kernel `run` and every tile-cost prediction asks for the
+/// worker count; once warmed, asking must cost no allocation (the OS
+/// query behind it reads cgroup files and allocates on each call).
+/// The counters are process-wide and sibling tests allocate
+/// concurrently, so the fewest calls over a few tries is the reading:
+/// an allocating query allocates on every try.
+#[test]
+fn warmed_default_workers_is_alloc_free() {
+    let first = default_workers();
+    let calls = (0..8)
+        .map(|_| {
+            let before = snapshot();
+            let again = default_workers();
+            let delta = since(before);
+            assert_eq!(first, again);
+            delta.calls
+        })
+        .min()
+        .unwrap_or(0);
+    assert_eq!(
+        calls, 0,
+        "a warmed default_workers() must not allocate ({calls} calls)"
+    );
+}
+
 #[test]
 fn kernel_runs_allocate_a_bounded_constant() {
     let mut rng = Pcg32::seed_from_u64(7);

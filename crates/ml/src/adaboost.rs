@@ -22,11 +22,6 @@ impl AdaBoost {
             n_classes: 0,
         }
     }
-
-    /// Number of fitted (kept) estimators.
-    pub fn n_fitted(&self) -> usize {
-        self.stumps.len()
-    }
 }
 
 impl Classifier for AdaBoost {

@@ -25,22 +25,28 @@
 //!    composes outside any lock (other requests — including other
 //!    misses — proceed concurrently) under `catch_unwind`, and the plan
 //!    is admitted under the shard's byte budget (evicting whole
-//!    least-recently-used plans);
+//!    least-recently-used plans); a composition that panics or fails
+//!    is replaced by a degraded baseline CSR plan (`compose`);
 //! 5. **execute** (`execute`): run the plan under `catch_unwind` — once
 //!    for a solo request, once for a fused group over every member's
 //!    operand — with a deadline verdict per operand;
 //! 6. **publish** (`publish`): re-check the deadline and count the
 //!    request in exactly one ledger class.
 //!
-//! Failures are contained per request (DESIGN.md §10): a panicking
-//! *execution* quarantines the cached plan (poisoned, evicted exactly
-//! once, never re-served) and degrades the request to the baseline
-//! reference CSR result; a panicking *composition* fails the request
-//! with a typed error unless the planner itself degrades (see
-//! [`crate::planner::ResilientPlanner`]). Every request lands in exactly
-//! one ledger class, so
-//! `requests == hits + misses + rejected + degraded + failed` holds
-//! exactly — the chaos tier asserts this identity under fault injection.
+//! Failures are contained per request by one degradation ladder,
+//! CELL → baseline CSR → typed error (DESIGN.md §10), the same for
+//! every planner. A panicking or failing *composition* degrades the
+//! request to a baseline CSR plan that is served but never cached; a
+//! panicking *execution* quarantines the cached plan (poisoned, evicted
+//! exactly once, never re-served) and rescues the request with the
+//! reference CSR result. Both feed a per-`(matrix, j)` circuit breaker:
+//! after three consecutive failures (`BREAKER_THRESHOLD`) the engine
+//! stops attempting that composition and serves the fallback directly
+//! for the key's lifetime (an update that retires the key's epoch, or
+//! `clear`, forgets the count; a clean compose below the threshold
+//! resets it). Every request lands in exactly one ledger class, so `requests == hits + misses + rejected + degraded + failed`
+//! holds exactly — the chaos tier asserts this identity under fault
+//! injection.
 //!
 //! Execution itself runs on the process-wide `lf_sim` worker pool —
 //! every request shares the one pool the kernels already dispatch to, so
@@ -70,6 +76,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+/// Consecutive failures — compositions that panicked or failed, and
+/// execute-time quarantines — after which the engine stops attempting a
+/// `(matrix, j)` composition and serves the degraded CSR fallback
+/// directly. A clean compose below the threshold resets the count; an
+/// open breaker stays open for the key's lifetime — until an update
+/// retires the key's epoch, or [`ServeEngine::clear`].
+const BREAKER_THRESHOLD: u32 = 3;
 
 /// Serving-layer tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -393,8 +407,9 @@ pub struct ServeStats {
     /// exact but came from a baseline-format fallback.
     pub degraded: u64,
     /// Requests that failed after admission with a typed error
-    /// (deadline exceeded, contained panic with no fallback, compose
-    /// failure).
+    /// (deadline exceeded, an execute panic whose reference rescue
+    /// failed too, or a rejection the planner raised). Any other
+    /// composition panic or failure degrades instead.
     pub failed: u64,
     /// Plans evicted to make room under the byte budget.
     pub evictions: u64,
@@ -589,6 +604,9 @@ pub struct ServeEngine<T: AtomicScalar, P> {
     /// The disk tier (`None` when `store_dir` is unset or the directory
     /// could not be opened — the engine then runs RAM-only).
     store: Option<PlanStore<T>>,
+    /// The circuit breaker: consecutive failures per key (see
+    /// [`BREAKER_THRESHOLD`]). A leaf lock, taken on the cold path only.
+    failures: Mutex<HashMap<(Fingerprint, usize), u32>>,
 }
 
 impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
@@ -625,6 +643,7 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
             counters: Counters::default(),
             coalescer: BatchBoard::new(),
             store,
+            failures: Mutex::new(HashMap::new()),
         };
         engine.warm_from_disk();
         engine
@@ -716,16 +735,6 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
             written += 1;
         }
         Ok(written)
-    }
-
-    /// The disk tier's placement-policy name, when a store is open.
-    pub fn store_policy(&self) -> Option<&'static str> {
-        self.store.as_ref().map(|s| s.policy_name())
-    }
-
-    /// The planner behind the engine.
-    pub fn planner(&self) -> &P {
-        &self.planner
     }
 
     /// Serve a raw CSR payload: validates it (rejecting malformed input
@@ -934,10 +943,12 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         clean
     }
 
-    /// Drop every RAM entry keyed by `fp` (all widths). Stale entries
-    /// are discarded, not demoted — a retired epoch must not re-enter
-    /// through the disk tier. Returns the number of entries dropped.
+    /// Drop every RAM entry keyed by `fp` (all widths), breaker counts
+    /// included. Stale entries are discarded, not demoted — a retired
+    /// epoch must not re-enter through the disk tier. Returns the number
+    /// of plans dropped.
     fn retire_epoch_ram(&self, fp: &Fingerprint) -> usize {
+        lock_unpoisoned(&self.failures).retain(|(f, _), _| f != fp);
         // lf-lint: allow(panic-path): shard() reduces modulo shards.len(), always in bounds
         let mut shard = lock_unpoisoned(&self.shards[fp.shard(self.shards.len())]);
         let keys: Vec<(Fingerprint, usize)> =
@@ -960,11 +971,6 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         self.counters
             .stale_evicted
             .fetch_add((ram + disk) as u64, Ordering::Relaxed);
-    }
-
-    /// Stable per-`(matrix, j)` key for planner failure memory.
-    fn digest((fp, j): &(Fingerprint, usize)) -> u64 {
-        fp.digest() ^ (*j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
     /// Claim an in-flight slot or reject with [`LfError::Overloaded`].
@@ -1231,14 +1237,15 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         });
     }
 
-    /// Compose the plan for `key` on the calling thread (no locks held)
-    /// under `catch_unwind`, recording the cold cost, and admit it to the
-    /// cache — unless it is a degraded fallback, which is served but
-    /// never cached: the cache must only amortize *intended*
-    /// compositions. Allocation counters are process-wide, so concurrent
-    /// misses attribute each other's traffic to both — the totals stay
-    /// an upper bound per request and exact in aggregate intent (see
-    /// `lf-sim`'s allocator docs).
+    /// Compose the plan for `key` on the calling thread (no locks held),
+    /// recording the cold cost, and admit it to the cache — unless it is
+    /// the degraded fallback, which is served but never cached: the
+    /// cache must only amortize *intended* compositions. A deadline that
+    /// fires before or during composition fails the request at this
+    /// stage; the plan is dropped. Allocation counters are process-wide,
+    /// so concurrent misses attribute each other's traffic to both — the
+    /// totals stay an upper bound per request and exact in aggregate
+    /// intent (see `lf-sim`'s allocator docs).
     fn compose(
         &self,
         key: &(Fingerprint, usize),
@@ -1247,48 +1254,81 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         if cancel::cancelled() {
             return Err(LfError::DeadlineExceeded { stage: "compose" });
         }
-        let digest = Self::digest(key);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            StageStats::measure(|| self.planner.prepare_keyed(digest, csr, key.1))
-        }));
-        match attempt {
-            Ok((outcome, stats)) => {
-                self.counters
-                    .cold_wall_ns
-                    .fetch_add((stats.wall_s * 1e9) as u64, Ordering::Relaxed);
-                self.counters
-                    .cold_alloc_calls
-                    .fetch_add(stats.alloc_calls, Ordering::Relaxed);
-                self.counters
-                    .cold_alloc_bytes
-                    .fetch_add(stats.alloc_bytes, Ordering::Relaxed);
-                // Stamp the operand's epoch: the disk tier refuses any
-                // record whose key and blob epochs disagree, so a plan
-                // composed for a mutated handle must carry its
-                // generation from birth.
-                let plan = outcome?.with_epoch(key.0.epoch);
-                if cancel::cancelled() {
-                    // The deadline fired during composition: the plan is
-                    // intact but the request is over budget. Fail fast;
-                    // the plan is dropped, not cached.
-                    return Err(LfError::DeadlineExceeded { stage: "compose" });
+        let (plan, stats) = StageStats::measure(|| self.compose_or_degrade(key, csr));
+        self.counters
+            .cold_wall_ns
+            .fetch_add((stats.wall_s * 1e9) as u64, Ordering::Relaxed);
+        self.counters
+            .cold_alloc_calls
+            .fetch_add(stats.alloc_calls, Ordering::Relaxed);
+        self.counters
+            .cold_alloc_bytes
+            .fetch_add(stats.alloc_bytes, Ordering::Relaxed);
+        // Stamp the operand's epoch: the disk tier refuses any record
+        // whose key and blob epochs disagree, so a plan composed for a
+        // mutated handle must carry its generation from birth.
+        let plan = plan?.with_epoch(key.0.epoch);
+        if cancel::cancelled() {
+            return Err(LfError::DeadlineExceeded { stage: "compose" });
+        }
+        let slot = PlanSlot::new(plan, (stats.wall_s * 1e9) as u64);
+        if !slot.plan.degraded {
+            self.admit(*key, Arc::clone(&slot), 0);
+        }
+        Ok(slot)
+    }
+
+    /// The compose rung of the degradation ladder: the planner's plan,
+    /// or — when the composition panics, fails with a typed error that
+    /// is not a rejection, or the breaker for `key` is open — a baseline
+    /// CSR plan marked degraded. Exact (the CSR kernel is bitwise-equal
+    /// to `spmm_reference`), only slower. Rejections pass through: they
+    /// are the caller's fault, and degrading would mask them.
+    fn compose_or_degrade(
+        &self,
+        key: &(Fingerprint, usize),
+        csr: &CsrMatrix<T>,
+    ) -> LfResult<PreparedPlan<T>> {
+        if self.failure_count(key) < BREAKER_THRESHOLD {
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "chaos")]
+                {
+                    use lf_check::chaos::{decide, ChaosSite};
+                    if decide(ChaosSite::ComposePanic) {
+                        panic!("chaos: injected compose panic");
+                    }
+                    if decide(ChaosSite::AllocFail) {
+                        return Err(LfError::ResourceExhausted {
+                            what: "chaos: injected plan-scratch allocation failure".to_string(),
+                        });
+                    }
                 }
-                let slot = PlanSlot::new(plan, (stats.wall_s * 1e9) as u64);
-                if !slot.plan.degraded {
-                    self.admit(*key, Arc::clone(&slot), 0);
+                self.planner.prepare(csr, key.1)
+            }));
+            match attempt {
+                Ok(Ok(plan)) => {
+                    lock_unpoisoned(&self.failures).remove(key);
+                    return Ok(plan);
                 }
-                Ok(slot)
-            }
-            Err(payload) => {
-                // A panic the planner did not contain itself (a
-                // ResilientPlanner would have): feed the breaker and
-                // fail the request with the typed panic error.
-                self.planner.record_failure(digest);
-                Err(LfError::ComposePanicked {
-                    detail: panic_detail(payload.as_ref()),
-                })
+                Ok(Err(e)) if e.is_rejection() => return Err(e),
+                Ok(Err(_)) | Err(_) => self.note_failure(key),
             }
         }
+        let fallback = PreparedPlan::from_csr(csr.clone(), PreprocessProfile::default());
+        Ok(fallback.with_tuned_j(key.1).mark_degraded())
+    }
+
+    /// Consecutive failures recorded against `key`.
+    fn failure_count(&self, key: &(Fingerprint, usize)) -> u32 {
+        lock_unpoisoned(&self.failures)
+            .get(key)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Count one failure against `key`'s breaker.
+    fn note_failure(&self, key: &(Fingerprint, usize)) {
+        *lock_unpoisoned(&self.failures).entry(*key).or_insert(0) += 1;
     }
 
     /// Execute stage — the one guarded run of a resolved plan for
@@ -1299,11 +1339,11 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
     /// deadline cut short are discarded, never served.
     ///
     /// On a panic the slot is quarantined (exactly once, for every
-    /// holder), the failure is reported to the planner once, and each
-    /// operand is rescued separately with its baseline reference result
-    /// — the last rung of the degradation ladder. A typed kernel error
-    /// delivers nothing and is returned: it fails a solo request and
-    /// dissolves a fused group.
+    /// holder, which counts one failure against the key's breaker), and
+    /// each operand is rescued separately with its baseline reference
+    /// result — the last rung of the degradation ladder. A typed kernel
+    /// error delivers nothing and is returned: it fails a solo request
+    /// and dissolves a fused group.
     fn execute(
         &self,
         key: &(Fingerprint, usize),
@@ -1350,7 +1390,6 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 self.quarantine(key, slot);
-                self.planner.record_failure(Self::digest(key));
                 Err(panic_detail(payload.as_ref()))
             }
         };
@@ -1417,6 +1456,7 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
     /// Poison `slot` and evict its cache entry — exactly once across all
     /// concurrent holders (the poison swap elects one winner; the
     /// `ptr_eq` check keeps a racing re-insert of the same key alive).
+    /// The winner also counts the quarantine against `key`'s breaker.
     fn quarantine(&self, key: &(Fingerprint, usize), slot: &Arc<PlanSlot<T>>) {
         if slot.poisoned.swap(true, Ordering::Relaxed) {
             return; // someone else already quarantined this plan
@@ -1437,6 +1477,7 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         if let Some(store) = &self.store {
             store.remove(&key.0, key.1);
         }
+        self.note_failure(key);
     }
 
     fn lookup(&self, key: &(Fingerprint, usize)) -> Option<Arc<PlanSlot<T>>> {
@@ -1533,13 +1574,15 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         }
     }
 
-    /// Drop every cached plan (counters are preserved).
+    /// Drop every cached plan and close every circuit breaker (counters
+    /// are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = lock_unpoisoned(shard);
             shard.map.clear();
             shard.bytes = 0;
         }
+        lock_unpoisoned(&self.failures).clear();
     }
 
     /// Counter snapshot plus current cache occupancy.
@@ -1896,10 +1939,6 @@ mod tests {
                 PreprocessProfile::default(),
             ))
         }
-
-        fn name(&self) -> &'static str {
-            "broken"
-        }
     }
 
     #[test]
@@ -1932,6 +1971,210 @@ mod tests {
         assert_eq!(s.degraded, 0, "the rescue result was discarded");
         assert_eq!(s.quarantined, 1, "the panicking plan was quarantined");
         assert_ledger_balances(&s);
+    }
+
+    /// A planner whose compose panics while `panicking` is set, and whose
+    /// plans panic on execute while `broken_plans` is set (see
+    /// [`BrokenPlanner`]); it counts every compose attempt.
+    struct FaultyPlanner {
+        panicking: AtomicBool,
+        broken_plans: AtomicBool,
+        attempts: AtomicU64,
+    }
+
+    impl FaultyPlanner {
+        fn panicking() -> Self {
+            FaultyPlanner {
+                panicking: AtomicBool::new(true),
+                broken_plans: AtomicBool::new(false),
+                attempts: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl Planner<f64> for FaultyPlanner {
+        fn prepare(&self, csr: &CsrMatrix<f64>, j: usize) -> LfResult<PreparedPlan<f64>> {
+            self.attempts.fetch_add(1, Ordering::Relaxed);
+            if self.panicking.load(Ordering::Relaxed) {
+                panic!("composer bug");
+            }
+            if self.broken_plans.load(Ordering::Relaxed) {
+                return BrokenPlanner.prepare(csr, j);
+            }
+            FixedCellPlanner::tuned(4).prepare(csr, j)
+        }
+    }
+
+    fn faulty_engine() -> ServeEngine<f64, FaultyPlanner> {
+        ServeEngine::new(FaultyPlanner::panicking(), ServeConfig::default())
+    }
+
+    #[test]
+    fn compose_panic_degrades_to_an_exact_uncached_csr_result() {
+        let e = faulty_engine();
+        let a = matrix(60);
+        let mut rng = Pcg32::seed_from_u64(87);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let want = a.spmm_reference(&b).unwrap();
+        let out = e.serve(&a, &b).unwrap();
+        assert!(out.degraded, "a compose panic must degrade, not fail");
+        assert!(!out.hit);
+        assert!(
+            out.compose.is_some(),
+            "the fallback is this request's compose"
+        );
+        // The fallback is the baseline CSR kernel, which accumulates each
+        // row in index order: bitwise the reference.
+        assert_eq!(bits(&out.result), bits(&want));
+        let s = e.stats();
+        assert_eq!((s.degraded, s.failed, s.misses), (1, 0, 0));
+        assert_eq!(s.cached_plans, 0, "degraded plans are never cached");
+        assert_ledger_balances(&s);
+    }
+
+    #[test]
+    fn breaker_opens_after_threshold_and_skips_the_compose() {
+        let e = faulty_engine();
+        let a = matrix(61);
+        let mut rng = Pcg32::seed_from_u64(86);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let want = a.spmm_reference(&b).unwrap();
+        for _ in 0..BREAKER_THRESHOLD {
+            assert!(e.serve(&a, &b).unwrap().degraded);
+        }
+        assert_eq!(e.planner.attempts.load(Ordering::Relaxed), 3);
+        // Even a now-healthy composer is skipped while the breaker is
+        // open: a composition that keeps dying stops costing compose
+        // time.
+        e.planner.panicking.store(false, Ordering::Relaxed);
+        let out = e.serve(&a, &b).unwrap();
+        assert!(out.degraded, "an open breaker serves the fallback");
+        assert_eq!(bits(&out.result), bits(&want));
+        assert_eq!(
+            e.planner.attempts.load(Ordering::Relaxed),
+            3,
+            "an open breaker must not attempt the compose"
+        );
+        // Another key — the same matrix at another width, and another
+        // matrix — is unaffected.
+        let b16 = DenseMatrix::random(128, 16, &mut rng);
+        let other = e.serve(&a, &b16).unwrap();
+        assert!(!other.degraded && !other.hit);
+        let other = e.serve(&matrix(62), &b).unwrap();
+        assert!(!other.degraded && !other.hit);
+        assert_eq!(e.planner.attempts.load(Ordering::Relaxed), 5);
+        assert_ledger_balances(&e.stats());
+    }
+
+    #[test]
+    fn clean_compose_resets_the_failure_count() {
+        let e = faulty_engine();
+        let a = matrix(63);
+        let mut rng = Pcg32::seed_from_u64(85);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let key = (Fingerprint::of_csr(&a), 8);
+        for _ in 0..BREAKER_THRESHOLD - 1 {
+            assert!(e.serve(&a, &b).unwrap().degraded);
+        }
+        assert_eq!(e.failure_count(&key), BREAKER_THRESHOLD - 1);
+        e.planner.panicking.store(false, Ordering::Relaxed);
+        assert!(!e.serve(&a, &b).unwrap().degraded);
+        assert_eq!(
+            e.failure_count(&key),
+            0,
+            "a clean compose closes the breaker"
+        );
+    }
+
+    /// Serve `a` through a panicking compose until the breaker opens,
+    /// then heal the composer.
+    fn open_breaker<F: FnMut()>(e: &ServeEngine<f64, FaultyPlanner>, mut serve: F) {
+        e.planner.panicking.store(true, Ordering::Relaxed);
+        for _ in 0..BREAKER_THRESHOLD {
+            serve();
+        }
+        e.planner.panicking.store(false, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn open_breaker_stays_open_until_clear() {
+        let e = faulty_engine();
+        let a = matrix(65);
+        let mut rng = Pcg32::seed_from_u64(83);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        open_breaker(&e, || assert!(e.serve(&a, &b).unwrap().degraded));
+        // No half-open probe: however many requests follow, the healed
+        // composer is never asked again for this key.
+        let attempts = e.planner.attempts.load(Ordering::Relaxed);
+        for _ in 0..5 {
+            assert!(e.serve(&a, &b).unwrap().degraded);
+        }
+        assert_eq!(e.planner.attempts.load(Ordering::Relaxed), attempts);
+        // `clear` forgets the breaker along with the cached plans.
+        e.clear();
+        let out = e.serve(&a, &b).unwrap();
+        assert!(!out.degraded, "clear closes the breaker");
+        assert_eq!(e.planner.attempts.load(Ordering::Relaxed), attempts + 1);
+        assert_ledger_balances(&e.stats());
+    }
+
+    #[test]
+    fn retiring_an_epoch_drops_its_breaker_counts() {
+        let e = faulty_engine();
+        let a = matrix(66);
+        let mut rng = Pcg32::seed_from_u64(82);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let (row, col, v) = a.iter().next().unwrap();
+        let h = MatrixHandle::new(a).unwrap();
+        open_breaker(&e, || assert!(e.serve_handle(&h, &b).unwrap().degraded));
+        let old = (h.fingerprint(), 8);
+        assert_eq!(e.failure_count(&old), BREAKER_THRESHOLD);
+        let update = EdgeUpdate::SetValue {
+            row,
+            col,
+            value: v + 1.0,
+        };
+        assert!(e.apply_updates(&h, &[update]).unwrap().swept);
+        assert!(
+            lock_unpoisoned(&e.failures).is_empty(),
+            "the retired epoch's breaker count must not outlive it"
+        );
+        // The new epoch is a new key with a closed breaker.
+        let out = e.serve_handle(&h, &b).unwrap();
+        assert!(!out.degraded);
+        assert_eq!(
+            bits(&out.result),
+            bits(&h.csr().spmm_reference(&b).unwrap())
+        );
+    }
+
+    #[test]
+    fn execute_quarantines_count_toward_the_breaker() {
+        let e = faulty_engine();
+        let a = matrix(64);
+        let mut rng = Pcg32::seed_from_u64(84);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let want = a.spmm_reference(&b).unwrap();
+        // A clean compose whose plan panics on execute: quarantined, and
+        // the request rescued with the reference result.
+        e.planner.panicking.store(false, Ordering::Relaxed);
+        e.planner.broken_plans.store(true, Ordering::Relaxed);
+        let out = e.serve(&a, &b).unwrap();
+        assert!(out.degraded);
+        assert_eq!(bits(&out.result), bits(&want));
+        assert_eq!(e.stats().quarantined, 1);
+        // Two compose failures on top of the quarantine reach the
+        // threshold; without the quarantine they would not.
+        e.planner.panicking.store(true, Ordering::Relaxed);
+        for _ in 0..BREAKER_THRESHOLD - 1 {
+            assert!(e.serve(&a, &b).unwrap().degraded);
+        }
+        e.planner.panicking.store(false, Ordering::Relaxed);
+        e.planner.broken_plans.store(false, Ordering::Relaxed);
+        let attempts = e.planner.attempts.load(Ordering::Relaxed);
+        assert!(e.serve(&a, &b).unwrap().degraded, "the breaker is open");
+        assert_eq!(e.planner.attempts.load(Ordering::Relaxed), attempts);
+        assert_ledger_balances(&e.stats());
     }
 
     #[test]

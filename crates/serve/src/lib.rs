@@ -13,10 +13,8 @@
 //!
 //! * [`Fingerprint`] — cheap matrix identity (dims + nnz +
 //!   row-pointer/column-index/value hashes, one O(nnz) pass);
-//! * [`Planner`] — a plan source: the trained [`LiteForm`] pipeline,
-//!   [`FixedCellPlanner`] for pinned configurations, or
-//!   [`ResilientPlanner`] wrapping either with a per-matrix circuit
-//!   breaker and graceful degradation to the baseline CSR format;
+//! * [`Planner`] — a plan source: the trained [`LiteForm`] pipeline, or
+//!   [`FixedCellPlanner`] for pinned configurations;
 //! * [`ServeEngine`] — concurrent requests (`matrix handle or CSR
 //!   payload`, dense `B`), a sharded LRU of
 //!   [`PreparedPlan`]s keyed by `(fingerprint, j)` under a configurable
@@ -25,7 +23,10 @@
 //! * **fault isolation** (DESIGN.md §10) — strict input validation with
 //!   typed [`LfError`](liteform_core::LfError) rejections, per-request
 //!   `catch_unwind` containment, poisoned-plan quarantine, cooperative
-//!   deadlines, and a `max_inflight` admission gate;
+//!   deadlines, a `max_inflight` admission gate, and one degradation
+//!   ladder for every planner: a composition that panics or fails
+//!   falls back to the baseline CSR format, behind a per-matrix
+//!   circuit breaker;
 //! * execution on the **shared** `lf_sim` worker pool — no
 //!   pool-per-request churn (asserted by the stress suite).
 //!
@@ -57,7 +58,7 @@ pub use engine::{
     AppliedDelta, MatrixHandle, ServeConfig, ServeEngine, ServeOutcome, ServeStats, UpdateOutcome,
 };
 pub use fingerprint::Fingerprint;
-pub use planner::{FixedCellPlanner, PinnedLiteForm, Planner, ResilientPlanner};
+pub use planner::{FixedCellPlanner, Planner};
 pub use store::{
     is_stale_epoch, CostAware, LruBytes, Placement, PlacementPolicy, PlanStore, RecordMeta,
     StoreConfig,

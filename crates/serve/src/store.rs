@@ -106,8 +106,6 @@ pub struct RecordMeta {
 /// Ranks records for retention on a full disk tier. Higher scores are
 /// kept; the lowest-scoring record is evicted first.
 pub trait PlacementPolicy: Send + Sync {
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
     /// Retention score for a record.
     fn retention_score(&self, meta: &RecordMeta) -> f64;
 }
@@ -116,10 +114,6 @@ pub trait PlacementPolicy: Send + Sync {
 pub struct LruBytes;
 
 impl PlacementPolicy for LruBytes {
-    fn name(&self) -> &'static str {
-        "lru_bytes"
-    }
-
     fn retention_score(&self, meta: &RecordMeta) -> f64 {
         meta.last_used as f64
     }
@@ -131,10 +125,6 @@ impl PlacementPolicy for LruBytes {
 pub struct CostAware;
 
 impl PlacementPolicy for CostAware {
-    fn name(&self) -> &'static str {
-        "cost_aware"
-    }
-
     fn retention_score(&self, meta: &RecordMeta) -> f64 {
         let bytes = meta.bytes.max(1) as f64;
         (meta.uses + 1) as f64 * meta.cost_ns.max(1) as f64 / bytes
@@ -320,11 +310,6 @@ impl<T: AtomicScalar> PlanStore<T> {
     /// unreadable (wrong magic/version or truncated before the key).
     pub fn swept_corrupt(&self) -> usize {
         self.swept_corrupt
-    }
-
-    /// The active placement policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Bytes currently held in record files.

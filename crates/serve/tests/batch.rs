@@ -43,8 +43,8 @@ fn coalesced_results_are_bitwise_identical_to_solo_serving() {
         })
         .collect();
 
-    let batched = ServeEngine::new(FixedCellPlanner::natural(1), batching_config(100_000, 256));
-    let solo = ServeEngine::new(FixedCellPlanner::natural(1), ServeConfig::default());
+    let batched = ServeEngine::new(FixedCellPlanner::tuned(1), batching_config(100_000, 256));
+    let solo = ServeEngine::new(FixedCellPlanner::tuned(1), ServeConfig::default());
     let barrier = Barrier::new(threads);
     let outcomes: Vec<(usize, bool, Vec<u64>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -93,7 +93,7 @@ fn zero_and_one_width_joiners_ride_along() {
     let a = matrix(12, n, 1500);
     let handle = MatrixHandle::new(a.clone()).unwrap();
     let widths = [8usize, 0, 1];
-    let engine = ServeEngine::new(FixedCellPlanner::natural(1), batching_config(400_000, 256));
+    let engine = ServeEngine::new(FixedCellPlanner::tuned(1), batching_config(400_000, 256));
     let barrier = Barrier::new(widths.len());
     let results: Vec<(usize, DenseMatrix<f64>, DenseMatrix<f64>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = widths
@@ -153,10 +153,6 @@ impl Planner<f64> for BrokenPlanner {
             cell,
             PreprocessProfile::default(),
         ))
-    }
-
-    fn name(&self) -> &'static str {
-        "broken"
     }
 }
 
@@ -290,10 +286,6 @@ impl Planner<f64> for RecordingPlanner {
     fn prepare(&self, csr: &CsrMatrix<f64>, j: usize) -> LfResult<PreparedPlan<f64>> {
         self.widths.lock().unwrap().push(j);
         Planner::<f64>::prepare(&self.inner, csr, j)
-    }
-
-    fn name(&self) -> &'static str {
-        "recording"
     }
 }
 

@@ -30,9 +30,9 @@ fn random_case(seed: u64) -> (CsrMatrix<f64>, DenseMatrix<f64>) {
 
 #[test]
 fn hit_is_bit_identical_to_cold_compose_and_run() {
-    // Deterministic regime: p=1, natural widths — no folding, no
-    // atomics, bitwise-reproducible execution.
-    let planner = FixedCellPlanner::natural(1);
+    // Every CELL plan runs owner-computes (one writer per output row),
+    // so a hit replays the cold compose+run bit for bit.
+    let planner = FixedCellPlanner::tuned(1);
     let engine = ServeEngine::new(planner.clone(), ServeConfig::default());
     for seed in 0..24u64 {
         let (csr, b) = random_case(seed);
@@ -68,7 +68,7 @@ fn multi_partition_hit_equals_reference_bitwise() {
 
 #[test]
 fn eviction_and_readmission_cycle_preserves_results_bitwise() {
-    let planner = FixedCellPlanner::natural(1);
+    let planner = FixedCellPlanner::tuned(1);
     // Same-shape matrices so both plans have comparable footprints and a
     // ~one-plan budget forces B's admission to evict A.
     let fixed_case = |seed: u64| {
@@ -123,8 +123,8 @@ fn eviction_and_readmission_cycle_preserves_results_bitwise() {
 fn hits_never_change_results_across_many_interleavings() {
     // Interleave three matrices through a cache big enough for all,
     // asserting every serve of the same (matrix, B) yields the same bits
-    // as its first serve (deterministic regime).
-    let engine = ServeEngine::new(FixedCellPlanner::natural(1), ServeConfig::default());
+    // as its first serve.
+    let engine = ServeEngine::new(FixedCellPlanner::tuned(1), ServeConfig::default());
     let cases: Vec<_> = (50..53u64).map(random_case).collect();
     let first: Vec<Vec<u64>> = cases
         .iter()

@@ -2,7 +2,7 @@
 //!
 //! Only compiled with `--features chaos`: the serving pipeline then
 //! carries `lf_check::chaos` injection sites (compose panic, execute
-//! panic, allocation failure, forced slow path). This test installs a
+//! panic, allocation failure). This test installs a
 //! seeded [`ChaosPlan`], hammers one engine from many threads with mixed
 //! traffic — hot handles, cold payloads, malformed payloads, shape
 //! mismatches — and sends half of the hot-handle traffic through a
@@ -21,6 +21,9 @@
 //! * **faults really happened** — ≥ 5 % of requests drew an injection
 //!   (asserted from the chaos module's own accounting, not the nominal
 //!   rate), and the quarantine + degradation machinery demonstrably ran;
+//! * **compose faults degrade, never fail** — the compose sites drew
+//!   injections, and no request failed with a compose-stage error: the
+//!   engine's own ladder turned every one into a degraded CSR result;
 //! * **no thread churn** — the process-wide worker pool is flat across
 //!   the storm.
 //!
@@ -33,8 +36,8 @@
 
 #![cfg(feature = "chaos")]
 
-use lf_check::chaos::{self, ChaosPlan};
-use lf_serve::{FixedCellPlanner, MatrixHandle, ResilientPlanner, ServeConfig, ServeEngine};
+use lf_check::chaos::{self, ChaosPlan, ChaosSite};
+use lf_serve::{FixedCellPlanner, MatrixHandle, ServeConfig, ServeEngine};
 use lf_sparse::gen::{fuzz_case, mixed_regions, FUZZ_CLASSES, MALFORMED_CLASS};
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
 use liteform_core::LfError;
@@ -63,6 +66,10 @@ struct Tally {
     ok_degraded: AtomicU64,
     err_rejected: AtomicU64,
     err_failed: AtomicU64,
+    /// Failures a composition produced — the errors the compose sites
+    /// inject, or a deadline seen at the compose stage. The engine's
+    /// ladder must degrade every compose fault instead.
+    err_compose: AtomicU64,
 }
 
 impl Tally {
@@ -71,7 +78,16 @@ impl Tally {
             Ok(true) => &self.ok_degraded,
             Ok(false) => &self.ok_clean,
             Err(e) if e.is_rejection() => &self.err_rejected,
-            Err(_) => &self.err_failed,
+            Err(e) => {
+                if matches!(
+                    e,
+                    LfError::ResourceExhausted { .. }
+                        | LfError::DeadlineExceeded { stage: "compose" }
+                ) {
+                    self.err_compose.fetch_add(1, Relaxed);
+                }
+                &self.err_failed
+            }
         };
         class.fetch_add(1, Relaxed);
     }
@@ -104,15 +120,12 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
         byte_budget: 64 << 20,
         ..ServeConfig::default()
     };
-    let engine = ServeEngine::new(
-        ResilientPlanner::new(FixedCellPlanner::tuned(4)),
-        config.clone(),
-    );
+    let engine = ServeEngine::new(FixedCellPlanner::tuned(4), config.clone());
     // The coalescing leg: a second engine that fuses concurrent requests
     // on one handle, so injected execute panics also hit fused runs and
     // their per-member rescues.
     let coalescing = ServeEngine::new(
-        ResilientPlanner::new(FixedCellPlanner::tuned(4)),
+        FixedCellPlanner::tuned(4),
         ServeConfig {
             batch_window_us: 2_000,
             ..config
@@ -144,9 +157,10 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
         })
         .collect();
 
-    // 10% nominal rate at every site; the post-run assertion uses the
-    // *achieved* counts.
-    chaos::install(ChaosPlan::uniform(seed, 100));
+    // 10% nominal rate at every site, 19% for plan-scratch allocation
+    // failures (the compose stage's typed-failure site); the post-run
+    // assertion uses the *achieved* counts.
+    chaos::install(ChaosPlan::uniform(seed, 100).with_rate(ChaosSite::AllocFail, 190));
 
     let sent = AtomicU64::new(0);
     let ok_batched = AtomicU64::new(0);
@@ -281,10 +295,19 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
         s.quarantined > 0,
         "no plan was quarantined by injected execute panics: {s:?}"
     );
-    assert!(
-        engine.planner().downgrades() > 0,
-        "no compose-side downgrade: {s:?}"
-    );
+    // Compose faults were drawn, and the engine degraded every one of
+    // them: no request on either engine failed at the compose stage.
+    let compose_injected =
+        chaos::injected(ChaosSite::ComposePanic) + chaos::injected(ChaosSite::AllocFail);
+    assert!(compose_injected > 0, "no compose-site injection: {s:?}");
+    for (e, tally) in &engines {
+        assert_eq!(
+            tally.err_compose.load(Relaxed),
+            0,
+            "a compose fault failed a request instead of degrading it: {:?}",
+            e.stats()
+        );
+    }
     assert!(s.rejected > 0 && s.hits > 0 && s.misses > 0, "{s:?}");
     // The coalescing leg fused requests, and injected execute panics
     // reached it.
@@ -305,7 +328,7 @@ fn chaos_storm_no_deadlock_no_wrong_bytes_exact_ledger() {
 
     // --- Deadline scenario: the `failed` class, deterministic --------
     let strict = ServeEngine::new(
-        ResilientPlanner::new(FixedCellPlanner::tuned(4)),
+        FixedCellPlanner::tuned(4),
         ServeConfig {
             deadline_ms: Some(0),
             ..ServeConfig::default()

@@ -15,6 +15,10 @@ use lf_sparse::gen::{fuzz_case, FUZZ_CLASSES, MALFORMED_CLASS};
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
 use liteform_core::LfError;
 
+fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 fn engine() -> ServeEngine<f64, FixedCellPlanner> {
     ServeEngine::new(FixedCellPlanner::tuned(4), ServeConfig::default())
 }
@@ -71,8 +75,9 @@ fn fuzz_corpus_differential_serve_never_panics() {
             Ok(out) => {
                 assert!(!case.malformed, "seed {seed} [{}] must reject", case.label);
                 let want = case.csr.spmm_reference(&b).unwrap();
-                assert!(
-                    out.result.approx_eq(&want, 1e-9),
+                assert_eq!(
+                    bits(&out.result),
+                    bits(&want),
                     "seed {seed} [{}]: served result diverges",
                     case.label
                 );

@@ -233,7 +233,7 @@ fn corrupted_records_are_rejected_counted_and_recomposed_never_served() {
         // The matrix still serves — by fresh compose, with right bits.
         let out = reader.serve(&a, &b).unwrap();
         assert!(!out.hit, "mode {i}: nothing cached to hit");
-        assert!(out.result.approx_eq(&want, 1e-9), "mode {i}: wrong bytes");
+        assert_eq!(bits(&out.result), bits(&want), "mode {i}: wrong bytes");
         let s = reader.stats();
         assert_eq!(s.disk_hits, 0, "mode {i}: {s:?}");
         assert_eq!(

@@ -30,6 +30,10 @@ fn matrix(seed: u64, n: usize, nnz: usize) -> CsrMatrix<f64> {
     CsrMatrix::from_coo(&mixed_regions(n, n, nnz, 4, &mut rng))
 }
 
+fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn concurrent_mixed_workload_is_correct_and_fully_counted() {
     let threads = env_or("LF_STRESS_THREADS", 8).max(2);
@@ -79,8 +83,9 @@ fn concurrent_mixed_workload_is_correct_and_fully_counted() {
                         // Repeated matrix via its handle.
                         let (h, b, want) = &hot[rng.usize_in(0, hot.len())];
                         let out = engine.serve_handle(h, b).unwrap();
-                        assert!(
-                            out.result.approx_eq(want, 1e-9),
+                        assert_eq!(
+                            bits(&out.result),
+                            bits(want),
                             "thread {t} iter {i}: wrong hot result"
                         );
                     } else {
@@ -90,8 +95,9 @@ fn concurrent_mixed_workload_is_correct_and_fully_counted() {
                         let b = DenseMatrix::random(n, j, &mut rng);
                         let want = a.spmm_reference(&b).unwrap();
                         let out = engine.serve(&a, &b).unwrap();
-                        assert!(
-                            out.result.approx_eq(&want, 1e-9),
+                        assert_eq!(
+                            bits(&out.result),
+                            bits(&want),
                             "thread {t} iter {i}: wrong cold result"
                         );
                     }
@@ -163,8 +169,9 @@ fn coalesced_same_fingerprint_storm_keeps_the_ledger_exact() {
                     match engine.serve_handle(handle, &b) {
                         Ok(out) => {
                             let want = a.spmm_reference(&b).unwrap();
-                            assert!(
-                                out.result.approx_eq(&want, 1e-9),
+                            assert_eq!(
+                                bits(&out.result),
+                                bits(&want),
                                 "thread {t} iter {i}: wrong coalesced result"
                             );
                             ok.fetch_add(1, Ordering::Relaxed);
@@ -232,7 +239,7 @@ fn concurrent_same_key_storm_converges_to_one_plan() {
             scope.spawn(move || {
                 for _ in 0..6 {
                     let out = engine.serve(a, b).unwrap();
-                    assert!(out.result.approx_eq(want, 1e-9));
+                    assert_eq!(bits(&out.result), bits(want));
                 }
             });
         }

@@ -137,8 +137,9 @@ fn post_update_serve_is_never_stale_and_migrated_plans_are_bitwise_fresh() {
             bits(&rebuilt.result),
             "round {round}: migrated plan diverged from fresh compose"
         );
-        assert!(
-            served.result.approx_eq(&want, 1e-9),
+        assert_eq!(
+            bits(&served.result),
+            bits(&want),
             "round {round}: served result disagrees with the reference"
         );
     }
@@ -229,7 +230,7 @@ fn update_sweeps_both_tiers_and_restart_serves_only_fresh_bytes() {
 
         let want = h.csr().spmm_reference(&b).unwrap();
         let served = e.serve_handle(&h, &b).unwrap();
-        assert!(served.result.approx_eq(&want, 1e-9));
+        assert_eq!(bits(&served.result), bits(&want));
         assert_ledger_exact(&e);
     } // process "dies" with the handle
 
@@ -317,7 +318,8 @@ mod mid_update_kill {
         // new epoch via the migrated plan.
         let want = h.csr().spmm_reference(&b).unwrap();
         let served = e.serve_handle(&h, &b).unwrap();
-        assert!(served.hit && served.result.approx_eq(&want, 1e-9));
+        assert!(served.hit);
+        assert_eq!(bits(&served.result), bits(&want));
 
         // The retry reclaims both tiers and clears the pending list.
         assert!(e.sweep_stale(&h), "retry must confirm clean");
@@ -372,8 +374,9 @@ mod mid_update_kill {
             !served.hit,
             "updated matrix must recompose, not reuse the stale record"
         );
-        assert!(
-            served.result.approx_eq(&want, 1e-9),
+        assert_eq!(
+            bits(&served.result),
+            bits(&want),
             "restart served wrong bytes"
         );
         assert_ledger_exact(&e);

@@ -117,11 +117,6 @@ impl DeviceModel {
         self.dram_bandwidth / (self.clock_ghz * 1e9)
     }
 
-    /// DRAM bytes per cycle available to one SM (uniform-share model).
-    pub fn dram_bytes_per_cycle_per_sm(&self) -> f64 {
-        self.dram_bytes_per_cycle() / self.num_sms as f64
-    }
-
     /// Peak DRAM bytes per cycle a single SM can draw in isolation.
     pub fn sm_peak_bytes_per_cycle(&self) -> f64 {
         self.dram_bytes_per_cycle() * self.sm_peak_fraction

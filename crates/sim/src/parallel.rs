@@ -29,12 +29,19 @@ use crate::pool;
 use crate::shadow::ShadowRegion;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Default worker count: one per available core, at least 1.
+/// Default worker count: one per available core, at least 1. Asked once
+/// per process and cached — `available_parallelism` reads cgroup files
+/// and allocates on every call, and every kernel `run` and every
+/// tile-cost prediction wants this number.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Chunk size for dynamic self-scheduling: ~16 chunks per worker keeps

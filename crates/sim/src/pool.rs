@@ -461,11 +461,7 @@ fn global_pool_threads() -> usize {
             return n;
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .saturating_sub(1)
-        .max(3)
+    crate::parallel::default_workers().saturating_sub(1).max(3)
 }
 
 /// The process-wide pool, spawned on first use and never torn down.

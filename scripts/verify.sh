@@ -26,7 +26,11 @@
 #             trip + 2000-mutation decoder fuzz), the store crash-
 #             recovery suite, and the incremental-vs-rebuild mutation
 #             suite (migrated plans bitwise-equal to fresh composes),
-#             all in release mode;
+#             all in release mode; then reruns the cache-property,
+#             mutation and store crash-recovery suites with
+#             LF_POOL_WORKERS=0, so every parallel region runs on the
+#             calling thread alone — their bitwise asserts then show
+#             that served bits do not depend on region width;
 #   --check   appends the verification tier (lf-check): the model
 #             checker's self-tests, the lint rule fixtures and the
 #             seeded-bug rediscovery suite (lock-order inversion in
@@ -117,6 +121,9 @@ if [[ "$RUN_STRESS" == "1" ]]; then
   echo "==> incremental-vs-rebuild mutation suite (release)"
   cargo test --release -p lf-serve --test updates -q
   cargo test --release -p lf-cell --test incremental -q
+  echo "==> bitwise serve suites with every parallel region on the calling thread (LF_POOL_WORKERS=0, release)"
+  LF_POOL_WORKERS=0 cargo test --release -p lf-serve \
+    --test cache_properties --test updates --test store_recovery -q
 fi
 
 if [[ "$RUN_CHECK" == "1" ]]; then
